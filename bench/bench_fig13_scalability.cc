@@ -43,10 +43,8 @@ wallSecondsSince(const std::chrono::steady_clock::time_point &start)
 
 /**
  * The A/B overhead run: transpose @p a on one channel, traced or not,
- * and return host sim-cycles/sec. Both arms force the sharded
- * simulation path (attaching a tracer does; the untraced arm samples at
- * a huge period for the same effect) so the comparison isolates the
- * cost of event emission, not a path change.
+ * and return host sim-cycles/sec. Both arms simulate the same per-rank
+ * shards, so the comparison isolates the cost of event emission.
  */
 double
 overheadArm(const sparse::CsrMatrix &a, unsigned leaves,
@@ -55,8 +53,6 @@ overheadArm(const sparse::CsrMatrix &a, unsigned leaves,
     core::SystemConfig config = channelSystem(1);
     config.pu.leaves = leaves;
     config.hostThreads = threads;
-    if (!traced)
-        config.samplePeriod = ~std::uint64_t(0) >> 1;
     core::MendaSystem sys(config);
     obs::Tracer tracer(std::size_t{1} << 20);
     if (traced)
@@ -89,8 +85,8 @@ main(int argc, char **argv)
     ReportWriter writer(opts, "fig13_scalability");
     writer.report().setMeta("scale", std::to_string(scale));
     // Record the host parallelism actually available: wall-clock speedup
-    // from --threads is bounded by it (a 1-core container can only show
-    // the sharded path's early-termination win, not thread scaling).
+    // from --threads is bounded by it (a 1-core host can only show the
+    // shards' early-termination win, not thread scaling).
     writer.report().setMeta("hostThreads", std::to_string(threads));
     writer.report().setMeta(
         "hwConcurrency",

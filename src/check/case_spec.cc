@@ -191,17 +191,6 @@ ceilPow2(Index n)
 } // namespace
 
 const char *
-kernelName(Kernel kernel)
-{
-    switch (kernel) {
-      case Kernel::Transpose: return "transpose";
-      case Kernel::Spmv: return "spmv";
-      case Kernel::Spgemm: return "spgemm";
-    }
-    return "?";
-}
-
-const char *
 matrixKindName(MatrixKind kind)
 {
     switch (kind) {
@@ -269,7 +258,7 @@ CaseSpec::normalize()
         m.seed &= 0xffffffffull;
     };
     fix_matrix(a);
-    if (kernel == Kernel::Spgemm) {
+    if (kernel == core::Kernel::Spgemm) {
         // The inner dimension is whatever A actually materializes to
         // (R-MAT rounds to a power of two), so resolve it via the built
         // matrix's column count.
@@ -286,7 +275,7 @@ CaseSpec::normalize()
         b = MatrixSpec{}; // unused; keep operator== meaningful
     }
     // The condensed scheduler only exists for the SpGEMM dataflow.
-    if (kernel != Kernel::Spgemm)
+    if (kernel != core::Kernel::Spgemm)
         withCondensed = false;
     pus = std::clamp<unsigned>(pus, 1, 8);
     // Power-of-two leaf count >= 4 keeps trees valid and small.
@@ -334,7 +323,7 @@ CaseSpec::oneLine() const
     os << kernelName(kernel) << " a=" << matrixKindName(a.kind) << "["
        << a.rows << "x" << a.cols << ",nnz=" << a.nnz << ",seed="
        << a.seed << "]";
-    if (kernel == Kernel::Spgemm)
+    if (kernel == core::Kernel::Spgemm)
         os << " b=" << matrixKindName(b.kind) << "[" << b.rows << "x"
            << b.cols << ",nnz=" << b.nnz << ",seed=" << b.seed << "]";
     os << " pus=" << pus << " leaves=" << leaves << " fifo="
@@ -401,7 +390,7 @@ CaseSpec::toJson() const
     o["schema"] = kSchema;
     o["kernel"] = kernelName(kernel);
     o["a"] = matrixToJson(a);
-    if (kernel == Kernel::Spgemm)
+    if (kernel == core::Kernel::Spgemm)
         o["b"] = matrixToJson(b);
     obs::json::Object pu;
     pu["pus"] = static_cast<std::uint64_t>(pus);
@@ -437,17 +426,13 @@ CaseSpec::fromJson(const std::string &text)
             std::string(kSchema) + ")");
     CaseSpec spec;
     const std::string kernel = v.at("kernel").asString();
-    if (kernel == "transpose")
-        spec.kernel = Kernel::Transpose;
-    else if (kernel == "spmv")
-        spec.kernel = Kernel::Spmv;
-    else if (kernel == "spgemm")
-        spec.kernel = Kernel::Spgemm;
-    else
+    const std::optional<core::Kernel> parsed = core::parseKernel(kernel);
+    if (!parsed)
         throw std::runtime_error("caseSpec: unknown kernel '" + kernel +
                                  "'");
+    spec.kernel = *parsed;
     spec.a = matrixFromJson(v.at("a"));
-    if (spec.kernel == Kernel::Spgemm)
+    if (spec.kernel == core::Kernel::Spgemm)
         spec.b = matrixFromJson(v.at("b"));
     const obs::json::Value &pu = v.at("pu");
     spec.pus = static_cast<unsigned>(pu.at("pus").asNumber());

@@ -17,18 +17,12 @@
 #include <cstdint>
 #include <string>
 
+#include "menda/kernel.hh"
 #include "menda/system.hh"
 #include "sparse/format.hh"
 
 namespace menda::check
 {
-
-enum class Kernel : std::uint8_t
-{
-    Transpose,
-    Spmv,
-    Spgemm,
-};
 
 /**
  * Synthetic matrix families. Uniform/Rmat/Banded/SkewedRows wrap the
@@ -50,7 +44,6 @@ enum class MatrixKind : std::uint8_t
     DuplicateHeavy,
 };
 
-const char *kernelName(Kernel kernel);
 const char *matrixKindName(MatrixKind kind);
 
 struct MatrixSpec
@@ -71,7 +64,7 @@ struct CaseSpec
 {
     static constexpr const char *kSchema = "menda.caseSpec/1";
 
-    Kernel kernel = Kernel::Transpose;
+    core::Kernel kernel = core::Kernel::Transpose;
     MatrixSpec a;
     MatrixSpec b; ///< SpGEMM only; b.rows is forced to a.cols
 

@@ -33,7 +33,7 @@ caseFeatures(const CaseSpec &spec, const obs::RunReport &report)
     features.push_back("kernel=" + kernel);
     features.push_back("matrix=" + matrix);
     features.push_back("case=" + kernel + "/" + matrix);
-    if (spec.kernel == Kernel::Spgemm)
+    if (spec.kernel == core::Kernel::Spgemm)
         features.push_back("matrixB=" +
                            std::string(matrixKindName(spec.b.kind)));
     features.push_back("pus=" + std::to_string(spec.pus));

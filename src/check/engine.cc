@@ -44,7 +44,7 @@ variantsFor(const CaseSpec &spec)
         v.served = true;
         variants.push_back(v);
     }
-    if (spec.kernel == Kernel::Spgemm && spec.withCondensed) {
+    if (spec.kernel == core::Kernel::Spgemm && spec.withCondensed) {
         EngineVariant v;
         v.name = "condensed";
         v.condensed = true;
@@ -81,10 +81,10 @@ runServed(const CaseSpec &spec)
         obs::json::Value(std::string(kernelName(spec.kernel)));
     const sparse::CsrMatrix a = buildMatrix(spec.a);
     request_fields["a"] = serve::csrToJson(a);
-    if (spec.kernel == Kernel::Spmv)
+    if (spec.kernel == core::Kernel::Spmv)
         request_fields["x"] =
             serve::valueVectorToJson(spec.spmvInput(a.cols));
-    else if (spec.kernel == Kernel::Spgemm)
+    else if (spec.kernel == core::Kernel::Spgemm)
         request_fields["b"] = serve::csrToJson(buildMatrix(spec.b));
     const obs::json::Value request(std::move(request_fields));
 
@@ -141,13 +141,13 @@ runServed(const CaseSpec &spec)
 
     CaseOutcome outcome;
     switch (spec.kernel) {
-      case Kernel::Transpose:
+      case core::Kernel::Transpose:
         outcome.csc = serve::cscFromJson(response.at("csc"));
         break;
-      case Kernel::Spmv:
+      case core::Kernel::Spmv:
         outcome.y = serve::doubleVectorFromJson(response.at("y"));
         break;
-      case Kernel::Spgemm:
+      case core::Kernel::Spgemm:
         outcome.c = serve::csrFromJson(response.at("c"));
         break;
     }
@@ -197,19 +197,19 @@ runVariant(const CaseSpec &spec, const EngineVariant &variant)
     core::RunResult run;
     std::uint64_t nnz = a.nnz();
     switch (spec.kernel) {
-      case Kernel::Transpose: {
+      case core::Kernel::Transpose: {
         core::TransposeResult result = sys.transpose(a);
         outcome.csc = std::move(result.csc);
         run = std::move(result);
         break;
       }
-      case Kernel::Spmv: {
+      case core::Kernel::Spmv: {
         core::SpmvResult result = sys.spmv(a, spec.spmvInput(a.cols));
         outcome.y = std::move(result.y);
         run = std::move(result);
         break;
       }
-      case Kernel::Spgemm: {
+      case core::Kernel::Spgemm: {
         const sparse::CsrMatrix b = buildMatrix(spec.b);
         core::SpgemmResult result = sys.spgemm(a, b);
         outcome.c = std::move(result.c);
@@ -232,14 +232,14 @@ checkGolden(const CaseSpec &spec, const CaseOutcome &outcome)
 {
     const sparse::CsrMatrix a = buildMatrix(spec.a);
     switch (spec.kernel) {
-      case Kernel::Transpose: {
+      case core::Kernel::Transpose: {
         const sparse::CscMatrix want = sparse::transposeReference(a);
         if (!(outcome.csc == want))
             return {true, "transpose output differs from the golden "
                           "CPU reference"};
         break;
       }
-      case Kernel::Spmv: {
+      case core::Kernel::Spmv: {
         const std::vector<double> want =
             sparse::spmvReference(a, spec.spmvInput(a.cols));
         if (outcome.y.size() != want.size())
@@ -254,7 +254,7 @@ checkGolden(const CaseSpec &spec, const CaseOutcome &outcome)
             }
         break;
       }
-      case Kernel::Spgemm: {
+      case core::Kernel::Spgemm: {
         const sparse::CsrMatrix b = buildMatrix(spec.b);
         // The heap merge is the bitwise oracle (identical FP order);
         // the hash accumulator cross-checks values in double precision.
@@ -285,17 +285,17 @@ diffOutcomes(const CaseSpec &spec, const EngineVariant &va,
              const CaseOutcome &ob)
 {
     switch (spec.kernel) {
-      case Kernel::Transpose:
+      case core::Kernel::Transpose:
         if (!(oa.csc == ob.csc))
             return mismatch(va, vb, "transpose outputs differ");
         break;
-      case Kernel::Spmv:
+      case core::Kernel::Spmv:
         // Identical simulation order in every variant means the FP sums
         // must agree bit-for-bit, not just within tolerance.
         if (oa.y != ob.y)
             return mismatch(va, vb, "spmv outputs differ bitwise");
         break;
-      case Kernel::Spgemm:
+      case core::Kernel::Spgemm:
         if (!(oa.c == ob.c))
             return mismatch(va, vb, "spgemm outputs differ");
         break;

@@ -30,7 +30,7 @@ CaseGenerator::pick(const char *dimension, unsigned count,
 }
 
 MatrixSpec
-CaseGenerator::randomMatrix(Kernel kernel, bool is_b)
+CaseGenerator::randomMatrix(core::Kernel kernel, bool is_b)
 {
     static constexpr MatrixKind kKinds[] = {
         MatrixKind::Uniform,       MatrixKind::Rmat,
@@ -45,7 +45,7 @@ CaseGenerator::randomMatrix(Kernel kernel, bool is_b)
     })];
     // SpGEMM fan-in is A's nnz and the output grows with nnz^2/k, so
     // keep its operands smaller than the single-matrix kernels'.
-    const bool spgemm = kernel == Kernel::Spgemm;
+    const bool spgemm = kernel == core::Kernel::Spgemm;
     const Index dim_cap = spgemm ? 96 : 384;
     m.rows = 8 + static_cast<Index>(rng_.below(dim_cap));
     m.cols = 8 + static_cast<Index>(rng_.below(dim_cap));
@@ -59,13 +59,11 @@ CaseSpec
 CaseGenerator::next()
 {
     CaseSpec spec;
-    static constexpr Kernel kKernels[] = {Kernel::Transpose,
-                                          Kernel::Spmv, Kernel::Spgemm};
-    spec.kernel = kKernels[pick("kernel", 3, [](unsigned i) {
-        return kernelName(kKernels[i]);
+    spec.kernel = core::kKernels[pick("kernel", 3, [](unsigned i) {
+        return core::kernelName(core::kKernels[i]);
     })];
     spec.a = randomMatrix(spec.kernel, false);
-    if (spec.kernel == Kernel::Spgemm)
+    if (spec.kernel == core::Kernel::Spgemm)
         spec.b = randomMatrix(spec.kernel, true);
 
     static constexpr unsigned kPus[] = {1, 2, 4};
@@ -96,7 +94,7 @@ CaseGenerator::next()
     spec.withServed = pick("served", 2, on_off) == 0;
     // Scheduler axis: SpGEMM cases may also run the condensed (Huffman)
     // planner and diff its CSR against the uniform baseline.
-    spec.withCondensed = spec.kernel == Kernel::Spgemm &&
+    spec.withCondensed = spec.kernel == core::Kernel::Spgemm &&
                          pick("condensed", 2, on_off) == 0;
 
     spec.normalize();

@@ -41,7 +41,7 @@ class CaseGenerator
     unsigned pick(const char *dimension, unsigned count,
                   ValueOf &&value_of);
 
-    MatrixSpec randomMatrix(Kernel kernel, bool is_b);
+    MatrixSpec randomMatrix(core::Kernel kernel, bool is_b);
 
     Rng rng_;
     const Coverage *coverage_;

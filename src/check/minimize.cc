@@ -32,7 +32,7 @@ shrinkCandidates(const CaseSpec &spec)
     const bool tiny = spec.a.nnz + spec.b.nnz <= 8 + 24 &&
                       spec.pus == 1 && spec.leaves == 4 &&
                       spec.prefetchBufferEntries == 16;
-    if (spec.kernel == Kernel::Spgemm && !tiny) {
+    if (spec.kernel == core::Kernel::Spgemm && !tiny) {
         for (std::uint64_t k = 0; k < 6; ++k) {
             add([&](CaseSpec &c) {
                 c.a = {MatrixKind::Uniform, 4, 4, 8, c.a.seed + k};
@@ -89,7 +89,7 @@ shrinkCandidates(const CaseSpec &spec)
         add([&](CaseSpec &c) { (c.*m).kind = MatrixKind::Uniform; });
     };
     shrink_matrix(&CaseSpec::a);
-    if (spec.kernel == Kernel::Spgemm)
+    if (spec.kernel == core::Kernel::Spgemm)
         shrink_matrix(&CaseSpec::b);
 
     // Collapse the PU shape toward the smallest machine.

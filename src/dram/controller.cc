@@ -86,8 +86,6 @@ MemoryController::MemoryController(std::string name,
                    rankBursts_[r]);
     }
     stats_.add("readLatency", readLatency_);
-    readDepth_.configure(config_.samplePeriod);
-    writeDepth_.configure(config_.samplePeriod);
     stats_.add("readQueueDepth", readDepth_);
     stats_.add("writeQueueDepth", writeDepth_);
     readQueue_.registerStats(stats_, "readQueue");

@@ -192,11 +192,23 @@ class MemoryController : public Ticked
     /** Round-trip latency of served reads, enqueue to data delivery. */
     const Histogram &readLatency() const { return readLatency_; }
 
-    /** Periodic RD/WR queue-depth samples (DramConfig::samplePeriod). */
+    /** Periodic RD/WR queue-depth samples (setSamplePeriod). */
     const IntervalSampler &readDepthSamples() const { return readDepth_; }
     const IntervalSampler &writeDepthSamples() const
     {
         return writeDepth_;
+    }
+
+    /**
+     * Sample RD/WR queue depth every @p period memory cycles (0, the
+     * default, disables). Sampling is passive: it never changes what the
+     * controller issues or when. Call before the first tick.
+     */
+    void
+    setSamplePeriod(std::uint64_t period)
+    {
+        readDepth_.configure(period);
+        writeDepth_.configure(period);
     }
 
     /** Bytes moved over the data bus so far. */

@@ -90,13 +90,6 @@ struct DramConfig
      */
     bool referenceScheduler = false;
 
-    /**
-     * Period, in memory-clock cycles, of the controller's queue-depth
-     * samplers. 0 disables sampling (see PuConfig::samplePeriod for the
-     * idle-skip interaction).
-     */
-    std::uint64_t samplePeriod = 0;
-
     /** Total banks visible to this controller. */
     unsigned totalBanks() const { return ranks * bankGroups * banksPerGroup; }
 

@@ -126,46 +126,37 @@ Context::free(MatrixHandle &handle)
 }
 
 void
-Context::transpose(MatrixHandle &handle)
+Context::launch(core::Kernel kernel, MatrixHandle &handle)
 {
     menda_assert(!pending_, "an offload is already in flight");
     for (auto &regs : mmio_) {
         regs.start = true;
         regs.finish = false;
     }
-    pendingOp_ = Op::Transpose;
+    pending_ = kernel;
     pendingHandle_ = &handle;
-    pending_ = true;
+}
+
+void
+Context::transpose(MatrixHandle &handle)
+{
+    launch(core::Kernel::Transpose, handle);
 }
 
 void
 Context::spmv(MatrixHandle &handle, const std::vector<Value> &x)
 {
-    menda_assert(!pending_, "an offload is already in flight");
-    for (auto &regs : mmio_) {
-        regs.start = true;
-        regs.finish = false;
-    }
-    pendingOp_ = Op::Spmv;
-    pendingHandle_ = &handle;
+    launch(core::Kernel::Spmv, handle);
     pendingX_ = x;
-    pending_ = true;
 }
 
 void
 Context::spgemm(MatrixHandle &handle, const sparse::CsrMatrix &b)
 {
-    menda_assert(!pending_, "an offload is already in flight");
     menda_assert(handle.csr_->cols == b.rows,
                  "spgemm: inner dimension mismatch");
-    for (auto &regs : mmio_) {
-        regs.start = true;
-        regs.finish = false;
-    }
-    pendingOp_ = Op::Spgemm;
-    pendingHandle_ = &handle;
+    launch(core::Kernel::Spgemm, handle);
     pendingB_ = &b;
-    pending_ = true;
 }
 
 void
@@ -174,7 +165,8 @@ Context::wait()
     if (!pending_)
         return;
     MatrixHandle &handle = *pendingHandle_;
-    if (pendingOp_ == Op::Transpose) {
+    switch (*pending_) {
+      case core::Kernel::Transpose: {
         core::TransposeResult result = system_.transpose(*handle.csr_);
         handle.result_ = std::move(result.csc);
         handle.transposed_ = true;
@@ -190,16 +182,22 @@ Context::wait()
             handle.partitions_.push_back(
                 sparse::transposeReference(part));
         }
-    } else if (pendingOp_ == Op::Spgemm) {
+        break;
+      }
+      case core::Kernel::Spmv: {
+        core::SpmvResult result = system_.spmv(*handle.csr_, pendingX_);
+        lastY_ = std::move(result.y);
+        lastRun_ = result;
+        break;
+      }
+      case core::Kernel::Spgemm: {
         core::SpgemmResult result =
             system_.spgemm(*handle.csr_, *pendingB_);
         lastC_ = std::move(result.c);
         lastRun_ = result;
         pendingB_ = nullptr;
-    } else {
-        core::SpmvResult result = system_.spmv(*handle.csr_, pendingX_);
-        lastY_ = std::move(result.y);
-        lastRun_ = result;
+        break;
+      }
     }
     for (unsigned r = 0; r < ranks(); ++r) {
         mmio_[r].finish = true; // PU sets finish, updates output addrs
@@ -207,8 +205,7 @@ Context::wait()
         mmio_[r].outIdxAddr = handle.maps_[r].base(core::Region::OutIdx);
         mmio_[r].outValAddr = handle.maps_[r].base(core::Region::OutVal);
     }
-    pending_ = false;
-    pendingOp_ = Op::None;
+    pending_.reset();
     pendingHandle_ = nullptr;
 }
 

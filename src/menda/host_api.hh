@@ -21,8 +21,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "menda/kernel.hh"
 #include "menda/memory_map.hh"
 #include "menda/page_coloring.hh"
 #include "menda/system.hh"
@@ -196,6 +198,9 @@ class Context
     }
 
   private:
+    /** Set the start signals and record the offload wait() executes. */
+    void launch(core::Kernel kernel, MatrixHandle &handle);
+
     core::SystemConfig config_;
     core::MendaSystem system_;
     std::vector<MmioRegisters> mmio_;
@@ -203,9 +208,7 @@ class Context
     SpanAllocator pageAlloc_;              ///< colored virtual pages
 
     // Simulation host: pending offload executed in wait().
-    enum class Op { None, Transpose, Spmv, Spgemm };
-    Op pendingOp_ = Op::None;
-    bool pending_ = false;
+    std::optional<core::Kernel> pending_;
     MatrixHandle *pendingHandle_ = nullptr;
     std::vector<Value> pendingX_;
     const sparse::CsrMatrix *pendingB_ = nullptr;

@@ -47,6 +47,42 @@ cscBytes(const sparse::CscMatrix &m)
     return (m.ptr.size() + m.idx.size() + m.val.size()) * 4;
 }
 
+/** The concrete plan a job holds (the caller checked the kernel). */
+template <typename Plan>
+const Plan &
+planOf(const KernelPlan &plan)
+{
+    return *std::get<std::shared_ptr<const Plan>>(plan);
+}
+
+/** Rank @p i's PU over its slice of @p plan; one overload per kernel. */
+std::unique_ptr<Pu>
+makePu(const std::string &name, const PuConfig &config,
+       const TransposePlan &plan, const std::vector<Value> &, std::size_t i,
+       dram::MemoryController *mem)
+{
+    return std::make_unique<Pu>(name, config, &plan.csr[i],
+                                plan.slices[i].rowBegin, mem);
+}
+
+std::unique_ptr<Pu>
+makePu(const std::string &name, const PuConfig &config,
+       const SpmvPlan &plan, const std::vector<Value> &x, std::size_t i,
+       dram::MemoryController *mem)
+{
+    return std::make_unique<Pu>(name, config, &plan.csc[i], &x,
+                                plan.slices[i].rowBegin, mem);
+}
+
+std::unique_ptr<Pu>
+makePu(const std::string &name, const PuConfig &config,
+       const SpgemmPlan &plan, const std::vector<Value> &, std::size_t i,
+       dram::MemoryController *mem)
+{
+    return std::make_unique<Pu>(name, config, &plan.csr[i], &plan.b,
+                                plan.slices[i].rowBegin, mem);
+}
+
 } // namespace
 
 std::uint64_t
@@ -137,52 +173,15 @@ planSpgemm(const sparse::CsrMatrix &a, const sparse::CsrMatrix &b,
     return plan;
 }
 
-KernelJob::KernelJob(const SystemConfig &config,
-                     std::shared_ptr<const TransposePlan> plan,
-                     obs::Tracer *tracer)
-    : kind_(Kind::Transpose), config_(config),
-      transposePlan_(std::move(plan))
-{
-    buildComponents(config, tracer);
-}
-
-KernelJob::KernelJob(const SystemConfig &config,
-                     std::shared_ptr<const SpmvPlan> plan,
+KernelJob::KernelJob(const SystemConfig &config, KernelPlan plan,
                      std::vector<Value> x, obs::Tracer *tracer)
-    : kind_(Kind::Spmv), config_(config), spmvPlan_(std::move(plan)),
-      x_(std::move(x))
+    : config_(config), plan_(std::move(plan)), x_(std::move(x))
 {
-    menda_assert(x_.size() == spmvPlan_->cols,
-                 "spmv: vector length mismatch");
-    buildComponents(config, tracer);
-}
-
-KernelJob::KernelJob(const SystemConfig &config,
-                     std::shared_ptr<const SpgemmPlan> plan,
-                     obs::Tracer *tracer)
-    : kind_(Kind::Spgemm), config_(config), spgemmPlan_(std::move(plan))
-{
-    buildComponents(config, tracer);
-}
-
-KernelJob::~KernelJob() = default;
-
-void
-KernelJob::buildComponents(const SystemConfig &config, obs::Tracer *tracer)
-{
-    if (config_.samplePeriod != 0) {
-        config_.pu.samplePeriod = config_.samplePeriod;
-        config_.dram.samplePeriod = config_.samplePeriod;
-    }
     const unsigned n_pus = config_.totalPus();
-    const std::size_t have = kind_ == Kind::Transpose
-                                 ? transposePlan_->csr.size()
-                                 : kind_ == Kind::Spmv
-                                       ? spmvPlan_->csc.size()
-                                       : spgemmPlan_->csr.size();
+    const std::size_t have = std::visit(
+        [](const auto &p) { return p->slices.size(); }, plan_);
     menda_assert(have == n_pus,
                  "kernel plan was built for a different rank count");
-    (void)config;
 
     wallStart_ = std::chrono::steady_clock::now();
     mems_.reserve(n_pus);
@@ -191,25 +190,14 @@ KernelJob::buildComponents(const SystemConfig &config, obs::Tracer *tracer)
         mems_.push_back(std::make_unique<dram::MemoryController>(
             "mem" + std::to_string(i), config_.dram,
             config_.pu.requestCoalescing));
-        switch (kind_) {
-          case Kind::Transpose:
-            pus_.push_back(std::make_unique<Pu>(
-                "pu" + std::to_string(i), config_.pu,
-                &transposePlan_->csr[i],
-                transposePlan_->slices[i].rowBegin, mems_.back().get()));
-            break;
-          case Kind::Spmv:
-            pus_.push_back(std::make_unique<Pu>(
-                "pu" + std::to_string(i), config_.pu, &spmvPlan_->csc[i],
-                &x_, spmvPlan_->slices[i].rowBegin, mems_.back().get()));
-            break;
-          case Kind::Spgemm:
-            pus_.push_back(std::make_unique<Pu>(
-                "pu" + std::to_string(i), config_.pu,
-                &spgemmPlan_->csr[i], &spgemmPlan_->b,
-                spgemmPlan_->slices[i].rowBegin, mems_.back().get()));
-            break;
-        }
+        mems_.back()->setSamplePeriod(config_.samplePeriod);
+        pus_.push_back(std::visit(
+            [&](const auto &p) {
+                return makePu("pu" + std::to_string(i), config_.pu, *p, x_,
+                              i, mems_.back().get());
+            },
+            plan_));
+        pus_.back()->setSamplePeriod(config_.samplePeriod);
     }
 
     if (config_.simMode != SimMode::Detailed) {
@@ -251,11 +239,13 @@ KernelJob::buildComponents(const SystemConfig &config, obs::Tracer *tracer)
     }
 }
 
+KernelJob::~KernelJob() = default;
+
 bool
 KernelJob::done() const
 {
     if (config_.simMode != SimMode::Detailed)
-        return nextFastRank_ >= pus_.size();
+        return fastRan_ && grantedCycles_ >= puCycles();
     return std::all_of(shards_.begin(), shards_.end(),
                        [](const auto &s) { return s->finished; });
 }
@@ -299,6 +289,16 @@ KernelJob::runFastRank(std::size_t i)
                         : pus_[i]->runSampled(config_.sampled, hook);
 }
 
+void
+KernelJob::runFast()
+{
+    if (fastRan_)
+        return;
+    ParallelRunner pool(config_.hostThreads);
+    pool.run(pus_.size(), [&](std::size_t i) { runFastRank(i); });
+    fastRan_ = true;
+}
+
 bool
 KernelJob::step(Cycle max_pu_cycles)
 {
@@ -306,10 +306,12 @@ KernelJob::step(Cycle max_pu_cycles)
         return false;
 
     if (config_.simMode != SimMode::Detailed) {
-        // One rank's whole kernel per slice: the fast tiers advance
-        // semantics in O(kernel) host time anyway, so the bounded unit
-        // of work is a rank, not a cycle window.
-        runFastRank(nextFastRank_++);
+        // The fast tiers advance semantics in O(kernel) host time, so
+        // they run whole on the first slice; later slices only let the
+        // estimated time pass.
+        runFast();
+        grantedCycles_ += std::min(max_pu_cycles,
+                                   puCycles() - grantedCycles_);
         return done();
     }
 
@@ -333,30 +335,13 @@ void
 KernelJob::runToCompletion()
 {
     if (config_.simMode != SimMode::Detailed) {
-        const auto run_one = [&](std::size_t i) { runFastRank(i); };
-        if (config_.hostThreads == 1) {
-            while (nextFastRank_ < pus_.size())
-                runFastRank(nextFastRank_++);
-        } else {
-            // Resume-safe: only the ranks not yet executed go to the
-            // pool (step() may have run a prefix already).
-            const std::size_t first = nextFastRank_;
-            ParallelRunner pool(config_.hostThreads);
-            pool.run(pus_.size() - first,
-                     [&](std::size_t i) { run_one(first + i); });
-            nextFastRank_ = pus_.size();
-        }
+        runFast();
+        grantedCycles_ = puCycles();
         return;
     }
-
-    if (config_.hostThreads == 1) {
-        for (std::size_t i = 0; i < shards_.size(); ++i)
-            runShardToCompletion(i);
-    } else {
-        ParallelRunner pool(config_.hostThreads);
-        pool.run(shards_.size(),
-                 [&](std::size_t i) { runShardToCompletion(i); });
-    }
+    ParallelRunner pool(config_.hostThreads);
+    pool.run(shards_.size(),
+             [&](std::size_t i) { runShardToCompletion(i); });
 }
 
 Cycle
@@ -371,12 +356,7 @@ KernelJob::puCycles() const
 std::uint64_t
 KernelJob::nnz() const
 {
-    switch (kind_) {
-      case Kind::Transpose: return transposePlan_->nnz;
-      case Kind::Spmv: return spmvPlan_->nnz;
-      case Kind::Spgemm: return spgemmPlan_->nnz;
-    }
-    return 0;
+    return std::visit([](const auto &p) { return p->nnz; }, plan_);
 }
 
 double
@@ -456,8 +436,8 @@ KernelJob::collect(RunResult &result)
 TransposeResult
 KernelJob::takeTranspose()
 {
-    menda_assert(kind_ == Kind::Transpose, "job is not a transposition");
-    const TransposePlan &plan = *transposePlan_;
+    menda_assert(kind() == Kernel::Transpose, "job is not a transposition");
+    const TransposePlan &plan = planOf<TransposePlan>(plan_);
     TransposeResult result;
     result.slices = plan.slices;
     collect(result);
@@ -500,8 +480,8 @@ KernelJob::takeTranspose()
 SpmvResult
 KernelJob::takeSpmv()
 {
-    menda_assert(kind_ == Kind::Spmv, "job is not an SpMV");
-    const SpmvPlan &plan = *spmvPlan_;
+    menda_assert(kind() == Kernel::Spmv, "job is not an SpMV");
+    const SpmvPlan &plan = planOf<SpmvPlan>(plan_);
     SpmvResult result;
     collect(result);
 
@@ -517,8 +497,8 @@ KernelJob::takeSpmv()
 SpgemmResult
 KernelJob::takeSpgemm()
 {
-    menda_assert(kind_ == Kind::Spgemm, "job is not an SpGEMM");
-    const SpgemmPlan &plan = *spgemmPlan_;
+    menda_assert(kind() == Kernel::Spgemm, "job is not an SpGEMM");
+    const SpgemmPlan &plan = planOf<SpgemmPlan>(plan_);
     SpgemmResult result;
     result.slices = plan.slices;
     result.partialProducts = plan.partialProducts;

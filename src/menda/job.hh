@@ -18,10 +18,10 @@
  *    cycle slices via step(), so a scheduler can interleave many jobs
  *    on one machine and a long SpGEMM cannot starve short SpMVs.
  *
- * runToCompletion() preserves the classic batch behavior (including the
- * host thread pool); outputs, counters, and reports are bit-identical
- * between stepped and batch execution because pausing runUntil() does
- * not change the tick sequence.
+ * runToCompletion() runs the rank shards on the host thread pool;
+ * outputs, counters, and reports are bit-identical between stepped and
+ * batch execution because pausing runUntil() does not change the tick
+ * sequence.
  */
 
 #ifndef MENDA_MENDA_JOB_HH
@@ -29,8 +29,10 @@
 
 #include <chrono>
 #include <memory>
+#include <variant>
 #include <vector>
 
+#include "menda/kernel.hh"
 #include "menda/page_coloring.hh"
 #include "menda/system.hh"
 #include "sim/clock.hh"
@@ -86,48 +88,48 @@ std::shared_ptr<const SpgemmPlan> planSpgemm(const sparse::CsrMatrix &a,
                                              const sparse::CsrMatrix &b,
                                              const SystemConfig &config);
 
+/** Any kernel's plan; the alternative's index is its Kernel. */
+using KernelPlan = std::variant<std::shared_ptr<const TransposePlan>,
+                                std::shared_ptr<const SpmvPlan>,
+                                std::shared_ptr<const SpgemmPlan>>;
+
 /**
  * One offloaded kernel with resumable execution.
  *
  * Detailed tier: every rank owns a private shard (TickScheduler + PU +
- * controller); step(n) advances each unfinished shard by up to n PU
- * cycles. Fast tiers (Functional/Sampled) execute one rank's whole
- * kernel per step() call — the semantics run up front, the analytical
- * cycle estimate still reaches puCycles() for occupancy accounting.
+ * controller) that step() advances cycle by cycle. Fast tiers
+ * (Functional/Sampled) run their semantics on the first step() and
+ * then let simulated time pass until it covers the analytical
+ * puCycles() estimate, so a fast job occupies a machine exactly as long
+ * as it claims to.
  */
 class KernelJob
 {
   public:
-    enum class Kind : std::uint8_t { Transpose, Spmv, Spgemm };
+    using Kind = Kernel;
 
-    KernelJob(const SystemConfig &config,
-              std::shared_ptr<const TransposePlan> plan,
-              obs::Tracer *tracer = nullptr);
-    KernelJob(const SystemConfig &config,
-              std::shared_ptr<const SpmvPlan> plan, std::vector<Value> x,
-              obs::Tracer *tracer = nullptr);
-    KernelJob(const SystemConfig &config,
-              std::shared_ptr<const SpgemmPlan> plan,
-              obs::Tracer *tracer = nullptr);
+    /** @p x is the SpMV input vector (cols entries); other kernels
+     *  take none. */
+    KernelJob(const SystemConfig &config, KernelPlan plan,
+              std::vector<Value> x = {}, obs::Tracer *tracer = nullptr);
     ~KernelJob();
 
     KernelJob(const KernelJob &) = delete;
     KernelJob &operator=(const KernelJob &) = delete;
 
-    Kind kind() const { return kind_; }
+    Kernel kind() const { return static_cast<Kernel>(plan_.index()); }
     const SystemConfig &config() const { return config_; }
     bool done() const;
 
     /**
-     * Advance the job by one bounded slice: up to @p max_pu_cycles PU
-     * cycles on every unfinished rank shard (Detailed), or one rank's
-     * complete fast-tier kernel (Functional/Sampled). Returns true when
-     * the job has just finished. A slice of 0 is a no-op.
+     * Let up to @p max_pu_cycles PU cycles of simulated time pass on
+     * every unfinished rank. Returns true when the job has just
+     * finished. A slice of 0 is a no-op.
      */
     bool step(Cycle max_pu_cycles);
 
-    /** Classic batch execution: run every rank to completion, using the
-     *  host thread pool when config.hostThreads != 1. */
+    /** Run every rank to completion on a pool of config.hostThreads
+     *  host threads. */
     void runToCompletion();
 
     /** PU cycles of the slowest rank so far (exact once done). */
@@ -159,26 +161,23 @@ class KernelJob
         Cycle nextMark = 0; ///< next --progress heartbeat boundary
     };
 
-    void buildComponents(const SystemConfig &config, obs::Tracer *tracer);
     void runShardToCompletion(std::size_t i);
     void runFastRank(std::size_t i);
+    /** Fast tiers: execute every rank's semantics (once). */
+    void runFast();
     double finishSeconds() const;
     void collect(RunResult &result);
 
-    Kind kind_;
     SystemConfig config_;
-
-    // Shared immutable inputs (exactly one of these is set).
-    std::shared_ptr<const TransposePlan> transposePlan_;
-    std::shared_ptr<const SpmvPlan> spmvPlan_;
-    std::shared_ptr<const SpgemmPlan> spgemmPlan_;
+    KernelPlan plan_;      ///< shared immutable input
     std::vector<Value> x_; ///< SpMV input vector (owned)
 
     std::vector<std::unique_ptr<dram::MemoryController>> mems_;
     std::vector<std::unique_ptr<Pu>> pus_;
     std::vector<std::unique_ptr<Shard>> shards_; ///< Detailed tier only
     std::vector<FastSimStats> fastStats_;        ///< fast tiers only
-    std::size_t nextFastRank_ = 0;
+    bool fastRan_ = false;    ///< fast tiers: semantics executed
+    Cycle grantedCycles_ = 0; ///< fast tiers: time passed, <= puCycles()
 
     std::chrono::steady_clock::time_point wallStart_;
     std::vector<std::vector<IterationStats>> iterStats_;

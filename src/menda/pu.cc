@@ -54,7 +54,6 @@ Pu::commonInit()
     stats_.add("leafPushStalls", pushStalls_);
     stallStart_.assign(config_.leaves, 0);
     stats_.add("leafStallRun", leafStallRuns_);
-    occupancySamples_.configure(config_.samplePeriod);
     stats_.add("treeOccupancy", occupancySamples_);
     tree_.registerStats(stats_);
     output_.registerStats(stats_);
@@ -90,12 +89,12 @@ Pu::Pu(std::string name, const PuConfig &config,
        dram::MemoryController *mem)
     : name_(std::move(name)),
       config_(config),
-      mode_(PuMode::Transpose),
+      kernel_(Kernel::Transpose),
       csr_(slice),
       rowOffset_(row_offset),
       map_(0, slice->rows, slice->cols, slice->nnz()),
       mem_(mem),
-      tree_(config, MergeKey::Column),
+      tree_(config, mergeKeyFor(kernel_)),
       output_(config_, &map_),
       stats_(name_)
 {
@@ -110,7 +109,7 @@ Pu::Pu(std::string name, const PuConfig &config,
        Index row_offset, dram::MemoryController *mem)
     : name_(std::move(name)),
       config_(config),
-      mode_(PuMode::Spmv),
+      kernel_(Kernel::Spmv),
       csc_(slice_csc),
       vecX_(x),
       rowOffset_(row_offset),
@@ -121,7 +120,7 @@ Pu::Pu(std::string name, const PuConfig &config,
            slice_csc->cols,
            std::max<std::uint64_t>(slice_csc->nnz(), slice_csc->rows)),
       mem_(mem),
-      tree_(config, MergeKey::Row),
+      tree_(config, mergeKeyFor(kernel_)),
       output_(config_, &map_),
       stats_(name_)
 {
@@ -137,7 +136,7 @@ Pu::Pu(std::string name, const PuConfig &config,
        Index row_offset, dram::MemoryController *mem)
     : name_(std::move(name)),
       config_(config),
-      mode_(PuMode::Spgemm),
+      kernel_(Kernel::Spgemm),
       csr_(a_slice),
       bMat_(b),
       rowOffset_(row_offset),
@@ -151,7 +150,7 @@ Pu::Pu(std::string name, const PuConfig &config,
                 spgemm::partialProductCount(*a_slice, *b), 1}),
            b->rows, b->nnz()),
       mem_(mem),
-      tree_(config, MergeKey::RowCol),
+      tree_(config, mergeKeyFor(kernel_)),
       output_(config_, &map_),
       stats_(name_)
 {
@@ -279,14 +278,14 @@ StreamDesc
 Pu::streamForOrdinal(std::uint64_t ordinal) const
 {
     StreamDesc desc;
-    if (mode_ == PuMode::Spgemm && huffman_ && !windowMode_) {
+    if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_) {
         // Huffman: every iteration's slot table is pre-built from the
         // merge-tree plan, padding included, so the shared
         // ordinal = round * leaves + slot contract holds unchanged.
         return iterStreams_[ordinal];
     }
     if (iteration_ == 0) {
-        if (mode_ == PuMode::Spgemm) {
+        if (kernel_ == Kernel::Spgemm) {
             const spgemm::PartialProductStream &s =
                 spgemmStreams_[ordinal];
             desc.source = StreamSource::ScaledBRow;
@@ -298,7 +297,7 @@ Pu::streamForOrdinal(std::uint64_t ordinal) const
             return desc;
         }
         const Index line = neRows_[ordinal];
-        if (mode_ == PuMode::Transpose) {
+        if (kernel_ == Kernel::Transpose) {
             desc.source = StreamSource::CsrRow;
             desc.begin = csr_->ptr[line];
             desc.end = csr_->ptr[line + 1];
@@ -318,18 +317,18 @@ Pu::streamForOrdinal(std::uint64_t ordinal) const
 std::uint64_t
 Pu::streamCount() const
 {
-    if (mode_ == PuMode::Spgemm && huffman_ && !windowMode_)
+    if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_)
         return iterStreams_.size();
     if (iteration_ != 0)
         return streams_.size();
-    return mode_ == PuMode::Spgemm ? spgemmStreams_.size()
-                                   : neRows_.size();
+    return kernel_ == Kernel::Spgemm ? spgemmStreams_.size()
+                                     : neRows_.size();
 }
 
 void
 Pu::setupIteration()
 {
-    if (mode_ == PuMode::Spgemm && huffman_ && !windowMode_) {
+    if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_) {
         // Non-uniform rounds come from the merge-tree plan; the slot
         // table is padded so the shared ordinal contract still holds.
         buildIterationStreams();
@@ -347,11 +346,11 @@ Pu::setupIteration()
 
     OutputMode out_mode;
     Index total_cols = 0;
-    if (mode_ == PuMode::Transpose) {
+    if (kernel_ == Kernel::Transpose) {
         out_mode = finalIteration_ ? OutputMode::CscFinal
                                    : OutputMode::CooIntermediate;
         total_cols = csr_->cols;
-    } else if (mode_ == PuMode::Spgemm) {
+    } else if (kernel_ == Kernel::Spgemm) {
         // Final iteration synthesizes the slice's LOCAL row pointers.
         out_mode = finalIteration_ ? OutputMode::CsrFinal
                                    : OutputMode::CooIntermediate;
@@ -380,10 +379,10 @@ Pu::setupIteration()
     ctrlNextIssue_ = 0;
     if (pointerPhase_) {
         const std::uint64_t entries =
-            (mode_ == PuMode::Spmv ? csc_->cols : csr_->rows) + 1;
+            (kernel_ == Kernel::Spmv ? csc_->cols : csr_->rows) + 1;
         ptrBlocksTotal_ = (entries + 15) / 16;
         ptrArrived_.assign(ptrBlocksTotal_, false);
-        if (mode_ == PuMode::Spgemm) {
+        if (kernel_ == Kernel::Spgemm) {
             // The controller needs A's row pointers (stream grouping),
             // A's indices and values (each non-zero's B row and scale),
             // and the B row-pointer entries bounding every referenced
@@ -413,7 +412,7 @@ Pu::setupIteration()
                     }
                 }
             }
-        } else if (mode_ == PuMode::Transpose) {
+        } else if (kernel_ == Kernel::Transpose) {
             // The whole pointer array is walked front to back.
             neededPtrBlocks_.resize(ptrBlocksTotal_);
             for (std::uint64_t b = 0; b < ptrBlocksTotal_; ++b)
@@ -451,7 +450,7 @@ Pu::setupIteration()
     // read-back blocks are counted analytically (3 arrays per span) so
     // the metric is identical across simulation tiers and thread
     // counts. The write side lands in finishIteration.
-    if (mode_ == PuMode::Spgemm && !windowMode_) {
+    if (kernel_ == Kernel::Spgemm && !windowMode_) {
         std::uint64_t read_blocks = 0;
         const std::uint64_t count = streamCount();
         for (std::uint64_t i = 0; i < count; ++i) {
@@ -474,7 +473,7 @@ Pu::pointerEngine()
 {
     if (!pointerPhase_)
         return;
-    if (mode_ == PuMode::Spgemm) {
+    if (kernel_ == Kernel::Spgemm) {
         // Stream the prebuilt controller metadata load list under the
         // same outstanding-request cap as the pointer walk.
         while (ctrlNextIssue_ < ctrlLoads_.size() &&
@@ -491,7 +490,7 @@ Pu::pointerEngine()
         const std::uint64_t block = neededPtrBlocks_[ptrNextIssue_];
         pendingPtrLoads_.push_back(map_.blockOf(Region::RowPtr,
                                                 block * 16));
-        if (mode_ == PuMode::Spmv) {
+        if (kernel_ == Kernel::Spmv) {
             // The controller fetches the vector elements multiplied with
             // these columns together with the pointer block (Sec. 3.6).
             pendingPtrLoads_.push_back(map_.blockOf(Region::VecIn,
@@ -515,7 +514,7 @@ Pu::doLoadPort()
         // A indices/values, B pointers) is tracked for arrival gating
         // and link retries, so all of them travel as RowPointer.
         const bool is_ptr =
-            mode_ == PuMode::Spgemm ||
+            kernel_ == Kernel::Spgemm ||
             (req.addr >= rp_base &&
              req.addr < rp_base + ptrBlocksTotal_ * 64);
         req.stream = is_ptr ? mem::Stream::RowPointer
@@ -638,7 +637,7 @@ Pu::markControllerArrival(Addr addr)
     };
     if (mark(Region::RowPtr, ptrArrived_))
         return;
-    if (mode_ != PuMode::Spgemm)
+    if (kernel_ != Kernel::Spgemm)
         return;
     if (mark(Region::ColIdx, aIdxArrived_))
         return;
@@ -697,7 +696,7 @@ Pu::doAssignments()
         if (ordinal < n) {
             if (pointerPhase_) {
                 bool bounds_ready;
-                if (mode_ == PuMode::Spgemm && huffman_ && !windowMode_) {
+                if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_) {
                     // Huffman: the slot's entry is a pre-carved leaf
                     // descriptor (or empty padding). A leaf becomes
                     // assignable once the metadata of every packed
@@ -708,7 +707,7 @@ Pu::doAssignments()
                                 entry.source != StreamSource::CondensedLeaf
                             ? true
                             : spgemmLeafReady(entry.auxIndex);
-                } else if (mode_ == PuMode::Spgemm) {
+                } else if (kernel_ == Kernel::Spgemm) {
                     // A stream exists once the controller holds the A
                     // row-pointer blocks framing its row, the A index
                     // and value blocks carrying its B row and scale,
@@ -797,8 +796,8 @@ Pu::doRootPop()
     if (!tree_.canPop())
         return;
     Packet p = tree_.pop();
-    if (mode_ == PuMode::Transpose ||
-        (mode_ == PuMode::Spgemm && !finalIteration_)) {
+    if (kernel_ == Kernel::Transpose ||
+        (kernel_ == Kernel::Spgemm && !finalIteration_)) {
         // Transposition never accumulates; SpGEMM intermediate
         // iterations pass duplicates through untouched so the final
         // left-to-right accumulation order is independent of the round
@@ -813,7 +812,7 @@ Pu::doRootPop()
     if (p.valid) {
         const bool same_key =
             reduction_.valid && reduction_.row == p.row &&
-            (mode_ == PuMode::Spmv || reduction_.col == p.col);
+            (kernel_ == Kernel::Spmv || reduction_.col == p.col);
         if (same_key) {
             reduction_.val += p.val;
         } else {
@@ -858,7 +857,7 @@ Pu::finishIteration()
 
     // Non-final SpGEMM iterations store nothing but the COO ping-pong
     // spill, so the iteration's write blocks ARE its spill writes.
-    if (mode_ == PuMode::Spgemm && !windowMode_ && !finalIteration_ &&
+    if (kernel_ == Kernel::Spgemm && !windowMode_ && !finalIteration_ &&
         iteration_ < spilledWriteBlocks_.size())
         spilledWriteBlocks_[iteration_] = st.writeBlocks;
 
@@ -881,7 +880,7 @@ Pu::finishIteration()
 
     if (finalIteration_) {
         const MergedOutput &merged = output_.merged();
-        if (mode_ == PuMode::Transpose) {
+        if (kernel_ == Kernel::Transpose) {
             resultCsc_.rows = rowOffset_ + csr_->rows;
             resultCsc_.cols = csr_->cols;
             resultCsc_.ptr.assign(csr_->cols + 1, 0);
@@ -891,7 +890,7 @@ Pu::finishIteration()
                 ++resultCsc_.ptr[c + 1];
             for (std::size_t c = 0; c < csr_->cols; ++c)
                 resultCsc_.ptr[c + 1] += resultCsc_.ptr[c];
-        } else if (mode_ == PuMode::Spgemm) {
+        } else if (kernel_ == Kernel::Spgemm) {
             // Packets arrive in (row, col) order with duplicates already
             // accumulated; rows are local to the slice.
             resultCsr_.rows = csr_->rows;
@@ -1008,7 +1007,7 @@ Pu::tick()
     doStorePort();
 
     bool ctrl_drained = true;
-    if (pointerPhase_ && mode_ == PuMode::Spgemm && huffman_) {
+    if (pointerPhase_ && kernel_ == Kernel::Spgemm && huffman_) {
         // Huffman defers leaves past iteration 0, but the controller
         // still owns every metadata fetch and later-iteration leaf
         // assignments do not re-check arrival — hold iteration 0 open

@@ -34,6 +34,7 @@
 
 #include "common/stats.hh"
 #include "dram/controller.hh"
+#include "menda/kernel.hh"
 #include "menda/memory_map.hh"
 #include "menda/merge_tree.hh"
 #include "menda/output_unit.hh"
@@ -49,14 +50,6 @@
 
 namespace menda::core
 {
-
-/** What dataflow the PU executes. */
-enum class PuMode : std::uint8_t
-{
-    Transpose, ///< CSR slice -> CSC slice (Sec. 3.1-3.5)
-    Spmv,      ///< CSC slice * x -> dense y partition (Sec. 3.6)
-    Spgemm,    ///< A slice x B -> CSR slice of C (outer product)
-};
 
 /** Per-iteration measurements for the Fig. 12-style breakdowns. */
 struct IterationStats
@@ -205,10 +198,22 @@ class Pu : public Ticked
     /** Lengths (in PU cycles) of contiguous leaf-push stall runs. */
     const Histogram &leafStallRuns() const { return leafStallRuns_; }
 
-    /** Periodic merge-tree occupancy samples (PuConfig::samplePeriod). */
+    /** Periodic merge-tree occupancy samples (setSamplePeriod). */
     const IntervalSampler &occupancySamples() const
     {
         return occupancySamples_;
+    }
+
+    /**
+     * Sample merge-tree occupancy every @p period PU cycles (0, the
+     * default, disables). Samples land on the first tick at or after
+     * each period boundary, so idle-skip windows collapse to a single
+     * post-skip catch-up sample, deterministically. Call before start().
+     */
+    void
+    setSamplePeriod(std::uint64_t period)
+    {
+        occupancySamples_.configure(period);
     }
 
     /**
@@ -317,7 +322,7 @@ class Pu : public Ticked
 
     std::string name_;
     PuConfig config_;
-    PuMode mode_;
+    Kernel kernel_;
 
     // Functional inputs.
     const sparse::CsrMatrix *csr_ = nullptr; ///< transpose/SpGEMM A slice

@@ -60,14 +60,6 @@ struct PuConfig
      */
     unsigned retryTimeoutCycles = 8192;
 
-    /**
-     * Period, in PU cycles, of the time-series samplers (merge-tree
-     * occupancy). 0 disables sampling. Samples land on the first tick at
-     * or after each period boundary, so idle-skip windows collapse to a
-     * single post-skip catch-up sample — deterministically.
-     */
-    std::uint64_t samplePeriod = 0;
-
     /** Pipeline depth of the FP reduction adders (SpMV only, Tab. 1). */
     unsigned fpAdderStages = 2;
 

@@ -39,18 +39,6 @@ namespace menda::core
 namespace
 {
 
-/** The merge key each PU mode's tree compares (mirrors the Pu ctors). */
-MergeKey
-keyForMode(PuMode mode)
-{
-    switch (mode) {
-      case PuMode::Transpose: return MergeKey::Column;
-      case PuMode::Spmv: return MergeKey::Row;
-      case PuMode::Spgemm: return MergeKey::RowCol;
-    }
-    return MergeKey::Column;
-}
-
 constexpr std::uint64_t elemsPerBlock = blockBytes / 4;
 
 /** Aligned 64 B spans of a 4-byte-element array covering [begin, end). */
@@ -71,7 +59,7 @@ Pu::Pu(const Pu &parent, std::vector<StreamDesc> streams, bool final_iter,
        dram::MemoryController *mem)
     : name_(parent.name_ + ".window"),
       config_(parent.config_),
-      mode_(parent.mode_),
+      kernel_(parent.kernel_),
       csr_(parent.csr_),
       csc_(parent.csc_),
       vecX_(parent.vecX_),
@@ -79,13 +67,12 @@ Pu::Pu(const Pu &parent, std::vector<StreamDesc> streams, bool final_iter,
       rowOffset_(parent.rowOffset_),
       map_(parent.map_),
       mem_(mem),
-      tree_(parent.config_, keyForMode(parent.mode_)),
+      tree_(parent.config_, mergeKeyFor(parent.kernel_)),
       output_(config_, &map_),
       stats_(name_)
 {
     // Throwaway measurement clone: never sampled, never traced; COO
     // stream reads resolve against the PARENT's ping-pong buffers.
-    config_.samplePeriod = 0;
     windowMode_ = true;
     windowFinal_ = final_iter;
     cooSrc_[0] = &parent.coo_[0];
@@ -169,18 +156,16 @@ Pu::avgBufferFill() const
 std::unique_ptr<Pu>
 Pu::cloneFresh(dram::MemoryController *mem) const
 {
-    PuConfig cfg = config_;
-    cfg.samplePeriod = 0;
-    switch (mode_) {
-      case PuMode::Transpose:
-        return std::make_unique<Pu>(name_ + ".anchor", cfg, csr_,
+    switch (kernel_) {
+      case Kernel::Transpose:
+        return std::make_unique<Pu>(name_ + ".anchor", config_, csr_,
                                     rowOffset_, mem);
-      case PuMode::Spmv:
-        return std::make_unique<Pu>(name_ + ".anchor", cfg, csc_, vecX_,
-                                    rowOffset_, mem);
-      case PuMode::Spgemm:
-        return std::make_unique<Pu>(name_ + ".anchor", cfg, csr_, bMat_,
-                                    rowOffset_, mem);
+      case Kernel::Spmv:
+        return std::make_unique<Pu>(name_ + ".anchor", config_, csc_,
+                                    vecX_, rowOffset_, mem);
+      case Kernel::Spgemm:
+        return std::make_unique<Pu>(name_ + ".anchor", config_, csr_,
+                                    bMat_, rowOffset_, mem);
     }
     menda_panic("unreachable PU mode");
 }
@@ -204,11 +189,11 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
 {
     const std::uint64_t n = streamCount();
     const unsigned leaves = config_.leaves;
-    const MergeKey key = keyForMode(mode_);
+    const MergeKey key = mergeKeyFor(kernel_);
     // SpMV reduces in every iteration; SpGEMM only in the final one; a
     // transposition never does — exactly doRootPop's dispatch.
-    const bool reduce = mode_ == PuMode::Spmv ||
-                        (mode_ == PuMode::Spgemm && finalIteration_);
+    const bool reduce = kernel_ == Kernel::Spmv ||
+                        (kernel_ == Kernel::Spgemm && finalIteration_);
 
     struct Slot
     {
@@ -257,7 +242,7 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
     // SpMV dense-accumulator scratch: a round's reduction by row is a
     // scatter-add when the row domain is dense enough (see below).
     const Index dense_rows =
-        mode_ == PuMode::Spmv && csc_ ? csc_->rows : 0;
+        kernel_ == Kernel::Spmv && csc_ ? csc_->rows : 0;
     std::vector<Value> dense_val;
     std::vector<Index> dense_col;
     std::vector<std::uint32_t> dense_stamp, dense_cnt;
@@ -271,7 +256,7 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
     // output is exactly a stable sort of the round by (column, slot),
     // which a two-pass counting sort over the column domain reproduces.
     const Index sort_cols =
-        mode_ == PuMode::Transpose && csr_ ? csr_->cols : 0;
+        kernel_ == Kernel::Transpose && csr_ ? csr_->cols : 0;
     std::vector<Packet> staged, placed;
     std::vector<std::uint16_t> staged_slot, placed_slot;
     std::vector<std::uint32_t> col_ofs;
@@ -493,7 +478,7 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
             } else {
                 const bool same_key =
                     red.valid && red.row == p.row &&
-                    (mode_ == PuMode::Spmv || red.col == p.col);
+                    (kernel_ == Kernel::Spmv || red.col == p.col);
                 if (same_key) {
                     red.val += p.val;
                 } else {
@@ -597,9 +582,9 @@ Pu::functionalReadBlockEstimate() const
     }
     // Controller metadata of the pointer walk (iteration 0 only).
     if (iteration_ == 0) {
-        if (mode_ == PuMode::Spgemm) {
+        if (kernel_ == Kernel::Spgemm) {
             blocks += ctrlLoads_.size();
-        } else if (mode_ == PuMode::Transpose) {
+        } else if (kernel_ == Kernel::Transpose) {
             blocks += ptrBlocksTotal_;
         } else {
             blocks += (ptrBlocksTotal_ + 511) / 512; // aux bitmap

@@ -12,7 +12,6 @@
 #ifndef MENDA_MENDA_SYSTEM_HH
 #define MENDA_MENDA_SYSTEM_HH
 
-#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -26,8 +25,6 @@
 
 namespace menda::core
 {
-
-class KernelJob;
 
 struct SystemConfig
 {
@@ -46,21 +43,21 @@ struct SystemConfig
 
     /**
      * Host worker threads for the cycle simulation itself. PUs never
-     * communicate during a pass (Sec. 3.5), so with hostThreads > 1
-     * every (PU, controller) pair runs on its own TickScheduler shard
-     * across a thread pool and the shards are joined before the
-     * merge/collect phase; 0 picks the hardware concurrency. With the
-     * default of 1 the legacy single-scheduler sequential path is used.
-     * Results (outputs, counters, simulated time) are bit-identical in
-     * every mode.
+     * communicate during a pass (Sec. 3.5), so every (PU, controller)
+     * pair runs on its own TickScheduler shard, and a batch run spreads
+     * the shards over a pool of this many threads, joined before the
+     * merge/collect phase. 0 picks the hardware concurrency; 1 runs the
+     * shards one after another on the calling thread. Results (outputs,
+     * counters, simulated time, traces) are bit-identical for every
+     * value.
      */
     unsigned hostThreads = 1;
 
     /**
      * Period, in component cycles, of the time-series samplers (merge
-     * tree occupancy, RD/WR queue depth). 0 disables sampling. A
-     * non-zero period is propagated into PuConfig and DramConfig at
-     * system construction.
+     * tree occupancy in PU cycles, RD/WR queue depth in memory cycles)
+     * of every rank's PU and controller. 0 disables sampling. Sampling
+     * is passive: it never moves a simulated cycle.
      */
     std::uint64_t samplePeriod = 0;
 
@@ -187,23 +184,16 @@ struct SpgemmResult : RunResult
 class MendaSystem
 {
   public:
-    explicit MendaSystem(const SystemConfig &config) : config_(config)
-    {
-        if (config_.samplePeriod != 0) {
-            config_.pu.samplePeriod = config_.samplePeriod;
-            config_.dram.samplePeriod = config_.samplePeriod;
-        }
-    }
+    explicit MendaSystem(const SystemConfig &config) : config_(config) {}
 
     const SystemConfig &config() const { return config_; }
 
     /**
      * Trace the next run into @p tracer (one shard per rank). The
      * tracer must outlive the run; pass nullptr to stop tracing. Use a
-     * fresh Tracer per run. Traced (or sampled) runs always take the
-     * sharded simulation path — even with hostThreads == 1 — so the
-     * idle-skip schedule, and with it the trace, is identical for every
-     * host thread count.
+     * fresh Tracer per run. Every rank simulates on its own shard, so
+     * the idle-skip schedule, and with it the trace, is identical for
+     * every host thread count.
      */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
@@ -226,19 +216,6 @@ class MendaSystem
      */
     SpgemmResult spgemm(const sparse::CsrMatrix &a,
                         const sparse::CsrMatrix &b);
-
-    /**
-     * Resumable counterparts of the batch entry points above: build the
-     * plan, construct the simulated components, and hand back a job
-     * that the caller advances via KernelJob::step() (or finishes with
-     * runToCompletion()). The batch methods are thin wrappers over
-     * these; outputs and reports are bit-identical either way.
-     */
-    std::unique_ptr<KernelJob> startTranspose(const sparse::CsrMatrix &a);
-    std::unique_ptr<KernelJob> startSpmv(const sparse::CsrMatrix &a,
-                                         const std::vector<Value> &x);
-    std::unique_ptr<KernelJob> startSpgemm(const sparse::CsrMatrix &a,
-                                           const sparse::CsrMatrix &b);
 
     /** Per-PU iteration stats of the last run (Fig. 12 analysis). */
     const std::vector<std::vector<IterationStats>> &

@@ -40,28 +40,43 @@ hashCsr(const sparse::CsrMatrix &m)
     return h;
 }
 
-template <typename Plan, typename Build>
-std::shared_ptr<const Plan>
-ResidencyCache::fetch(const Key &key, Build &&build)
+core::KernelPlan
+ResidencyCache::plan(core::Kernel kernel, const sparse::CsrMatrix &a,
+                     const sparse::CsrMatrix &b,
+                     const core::SystemConfig &config)
 {
+    const Key key{kernel, hashCsr(a),
+                  kernel == core::Kernel::Spgemm ? hashCsr(b) : 0,
+                  config.totalPus(), config.rowPartitioning};
     ++tick_;
     auto it = entries_.find(key);
     if (it != entries_.end()) {
         ++stats_.hits;
         it->second.lastUse = tick_;
-        return std::static_pointer_cast<const Plan>(it->second.plan);
+        return it->second.plan;
     }
     ++stats_.misses;
-    std::shared_ptr<const Plan> plan = build();
     Entry entry;
-    entry.plan = plan;
-    entry.bytes = plan->residentBytes();
+    switch (kernel) {
+      case core::Kernel::Transpose:
+        entry.plan = core::planTranspose(a, config);
+        break;
+      case core::Kernel::Spmv:
+        entry.plan = core::planSpmv(a, config);
+        break;
+      case core::Kernel::Spgemm:
+        entry.plan = core::planSpgemm(a, b, config);
+        break;
+    }
+    entry.bytes = std::visit(
+        [](const auto &p) { return p->residentBytes(); }, entry.plan);
     entry.lastUse = tick_;
     stats_.residentBytes += entry.bytes;
+    const core::KernelPlan built = entry.plan;
     entries_.emplace(key, std::move(entry));
     stats_.entries = entries_.size();
     evictToBudget();
-    return plan;
+    return built;
 }
 
 void
@@ -70,8 +85,6 @@ ResidencyCache::evictToBudget()
     // LRU: drop the least-recently-used entry until within budget. An
     // entry larger than the whole budget is dropped too — the caller's
     // shared_ptr keeps the in-flight plan alive; we just don't retain.
-    static const char *const kind_names[] = {"transpose", "spmv",
-                                             "spgemm"};
     while (stats_.residentBytes > budgetBytes_ && !entries_.empty()) {
         auto lru = entries_.begin();
         for (auto it = std::next(entries_.begin()); it != entries_.end();
@@ -81,40 +94,11 @@ ResidencyCache::evictToBudget()
         stats_.residentBytes -= lru->second.bytes;
         ++stats_.evictions;
         if (evictionHook_)
-            evictionHook_(kind_names[lru->first.kind],
+            evictionHook_(core::kernelName(lru->first.kind),
                           lru->second.bytes);
         entries_.erase(lru);
     }
     stats_.entries = entries_.size();
-}
-
-std::shared_ptr<const core::TransposePlan>
-ResidencyCache::transposePlan(const sparse::CsrMatrix &a,
-                              const core::SystemConfig &config)
-{
-    Key key{0, hashCsr(a), 0, config.totalPus(), config.rowPartitioning};
-    return fetch<core::TransposePlan>(
-        key, [&] { return core::planTranspose(a, config); });
-}
-
-std::shared_ptr<const core::SpmvPlan>
-ResidencyCache::spmvPlan(const sparse::CsrMatrix &a,
-                         const core::SystemConfig &config)
-{
-    Key key{1, hashCsr(a), 0, config.totalPus(), config.rowPartitioning};
-    return fetch<core::SpmvPlan>(
-        key, [&] { return core::planSpmv(a, config); });
-}
-
-std::shared_ptr<const core::SpgemmPlan>
-ResidencyCache::spgemmPlan(const sparse::CsrMatrix &a,
-                           const sparse::CsrMatrix &b,
-                           const core::SystemConfig &config)
-{
-    Key key{2, hashCsr(a), hashCsr(b), config.totalPus(),
-            config.rowPartitioning};
-    return fetch<core::SpgemmPlan>(
-        key, [&] { return core::planSpgemm(a, b, config); });
 }
 
 } // namespace menda::serve

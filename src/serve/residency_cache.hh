@@ -56,19 +56,19 @@ class ResidencyCache
         : budgetBytes_(budget_bytes)
     {}
 
-    std::shared_ptr<const core::TransposePlan>
-    transposePlan(const sparse::CsrMatrix &a,
-                  const core::SystemConfig &config);
-    std::shared_ptr<const core::SpmvPlan>
-    spmvPlan(const sparse::CsrMatrix &a, const core::SystemConfig &config);
-    std::shared_ptr<const core::SpgemmPlan>
-    spgemmPlan(const sparse::CsrMatrix &a, const sparse::CsrMatrix &b,
-               const core::SystemConfig &config);
+    /**
+     * @p kernel's plan of @p a (times @p b, which only SpGEMM reads) for
+     * @p config's rank count and partitioning mode: the cached one, or a
+     * new one, cached under the budget.
+     */
+    core::KernelPlan plan(core::Kernel kernel, const sparse::CsrMatrix &a,
+                          const sparse::CsrMatrix &b,
+                          const core::SystemConfig &config);
 
     const CacheStats &stats() const { return stats_; }
     std::uint64_t budgetBytes() const { return budgetBytes_; }
 
-    /** Eviction notification: (plan kind name, resident bytes freed). */
+    /** Eviction notification: (kernel name, resident bytes freed). */
     using EvictionHook =
         std::function<void(const char *, std::uint64_t)>;
 
@@ -81,7 +81,7 @@ class ResidencyCache
   private:
     struct Key
     {
-        std::uint8_t kind = 0; ///< plan type tag
+        core::Kernel kind = core::Kernel::Transpose;
         std::uint64_t hashA = 0;
         std::uint64_t hashB = 0;
         unsigned pus = 0;
@@ -98,14 +98,10 @@ class ResidencyCache
 
     struct Entry
     {
-        std::shared_ptr<const void> plan;
+        core::KernelPlan plan;
         std::uint64_t bytes = 0;
         std::uint64_t lastUse = 0;
     };
-
-    /** Lookup/insert boilerplate shared by the three plan types. */
-    template <typename Plan, typename Build>
-    std::shared_ptr<const Plan> fetch(const Key &key, Build &&build);
 
     void evictToBudget();
 

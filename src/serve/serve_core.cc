@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,15 +19,24 @@ namespace json = obs::json;
 namespace
 {
 
-const char *
-kernelName(core::KernelJob::Kind kind)
+/** Every integer up to 2^53 is exact in a JSON (double) number. */
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t(1) << 53;
+
+/**
+ * @p v as an integer in [@p lo, @p hi]; nullopt when it is not a
+ * number, has a fractional part, or lies outside the range (NaN and
+ * infinities included), so the cast below is always defined.
+ */
+std::optional<std::uint64_t>
+integerIn(const json::Value &v, std::uint64_t lo, std::uint64_t hi)
 {
-    switch (kind) {
-      case core::KernelJob::Kind::Transpose: return "transpose";
-      case core::KernelJob::Kind::Spmv: return "spmv";
-      case core::KernelJob::Kind::Spgemm: return "spgemm";
-    }
-    return "?";
+    if (!v.isNumber())
+        return std::nullopt;
+    const double d = v.asNumber();
+    if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+        d != std::floor(d))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(d);
 }
 
 /** Nearest-rank percentile of an unsorted sample vector. */
@@ -181,11 +192,12 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
 
     unsigned ranks = config_.ranksPerJob;
     if (request.has("pus")) {
-        if (!request.at("pus").isNumber() ||
-            request.at("pus").asNumber() < 1)
+        const std::optional<std::uint64_t> pus = integerIn(
+            request.at("pus"), 1, std::numeric_limits<unsigned>::max());
+        if (!pus)
             return errorResponse("badRequest",
-                                 "pus must be a positive number");
-        ranks = static_cast<unsigned>(request.at("pus").asNumber());
+                                 "pus must be a positive integer");
+        ranks = static_cast<unsigned>(*pus);
     }
     job.ranks = std::min(ranks, scheduler_.machineRanks());
     if (job.ranks == 0)
@@ -194,10 +206,11 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
     // The per-job machine: a rank subset of the shared pool. Fidelity
     // and the ablation/sampling knobs come from the daemon's config.
     // hostThreads is inherited: sliced (detailed) execution steps
-    // shards sequentially regardless, and fast tiers run their batch
-    // semantics through the PR-1 thread pool, which is bit-identical
-    // to sequential — so every observable byte (results, journal,
-    // traces, metrics) is independent of the daemon's --threads.
+    // shards sequentially regardless, and fast tiers run their
+    // semantics on the first slice through the host thread pool, which
+    // is bit-identical to sequential — so every observable byte
+    // (results, journal, traces, metrics) is independent of the
+    // daemon's --threads.
     job.config = config_.system;
     job.config.channels = 1;
     job.config.dimmsPerChannel = 1;
@@ -212,37 +225,28 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
                                  "functional | sampled[:W,P[,WARM]])");
     }
 
+    const std::optional<core::Kernel> kind = core::parseKernel(kernel);
+    if (!kind)
+        return errorResponse("badRequest", "unknown kernel: " + kernel);
     const std::uint64_t hitsBefore = cache_.stats().hits;
     try {
-        if (kernel == "transpose") {
-            job.kind = core::KernelJob::Kind::Transpose;
-            const sparse::CsrMatrix a = csrFromJson(request.at("a"));
-            job.inputNnz = a.nnz();
-            job.transposePlan = cache_.transposePlan(a, job.config);
-        } else if (kernel == "spmv") {
-            job.kind = core::KernelJob::Kind::Spmv;
-            const sparse::CsrMatrix a = csrFromJson(request.at("a"));
+        const sparse::CsrMatrix a = csrFromJson(request.at("a"));
+        sparse::CsrMatrix b; // SpGEMM's second operand
+        if (*kind == core::Kernel::Spmv) {
             job.x = valueVectorFromJson(request.at("x"));
             if (job.x.size() != a.cols)
                 throw std::runtime_error(
                     "x has " + std::to_string(job.x.size()) +
                     " entries; matrix has " + std::to_string(a.cols) +
                     " columns");
-            job.inputNnz = a.nnz();
-            job.spmvPlan = cache_.spmvPlan(a, job.config);
-        } else if (kernel == "spgemm") {
-            job.kind = core::KernelJob::Kind::Spgemm;
-            const sparse::CsrMatrix a = csrFromJson(request.at("a"));
-            const sparse::CsrMatrix b = csrFromJson(request.at("b"));
+        } else if (*kind == core::Kernel::Spgemm) {
+            b = csrFromJson(request.at("b"));
             if (a.cols != b.rows)
                 throw std::runtime_error(
                     "dimension mismatch: a.cols != b.rows");
-            job.inputNnz = a.nnz();
-            job.spgemmPlan = cache_.spgemmPlan(a, b, job.config);
-        } else {
-            return errorResponse("badRequest",
-                                 "unknown kernel: " + kernel);
         }
+        job.inputNnz = a.nnz();
+        job.plan = cache_.plan(*kind, a, b, job.config);
     } catch (const std::exception &e) {
         return errorResponse("badRequest", e.what());
     }
@@ -254,7 +258,7 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
     const bool cacheHit = job.cacheHit;
     const unsigned jobRanks = job.ranks;
     if (observer_)
-        observer_->jobSubmitted(id, job.tenant, kernelName(job.kind),
+        observer_->jobSubmitted(id, job.tenant, core::kernelName(*kind),
                                 jobRanks, cacheHit, virtualCycle_);
     order_.push_back(job.id);
     jobs_.emplace(job.id, std::move(job));
@@ -270,10 +274,14 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
 json::Value
 ServeCore::handleStatus(const json::Value &request) const
 {
-    if (!request.has("id") || !request.at("id").isNumber())
+    if (!request.has("id"))
         return errorResponse("badRequest", "missing job id");
-    return jobResponse(
-        static_cast<std::uint64_t>(request.at("id").asNumber()));
+    const std::optional<std::uint64_t> id =
+        integerIn(request.at("id"), 0, kMaxExactInteger);
+    if (!id)
+        return errorResponse("badRequest",
+                             "job id must be a non-negative integer");
+    return jobResponse(*id);
 }
 
 unsigned
@@ -348,12 +356,8 @@ ServeCore::pump()
                 job.startCycle = roundStart;
                 dispatch(job);
             }
-            advance(job);
-            const bool finished =
-                job.kernel ? (job.kernel->done() &&
-                              job.fastRemaining == 0)
-                           : false;
-            if (finished) {
+            job.kernel->step(config_.sliceCycles);
+            if (job.kernel->done()) {
                 job.doneCycle = roundStart + config_.sliceCycles;
                 complete(job);
             }
@@ -438,41 +442,8 @@ ServeCore::dispatch(Job &job)
     if (observer_)
         observer_->jobDispatched(job.id, job.submitCycle,
                                  job.startCycle);
-    switch (job.kind) {
-      case core::KernelJob::Kind::Transpose:
-        job.kernel = std::make_unique<core::KernelJob>(
-            job.config, job.transposePlan);
-        break;
-      case core::KernelJob::Kind::Spmv:
-        job.kernel = std::make_unique<core::KernelJob>(
-            job.config, job.spmvPlan, job.x);
-        break;
-      case core::KernelJob::Kind::Spgemm:
-        job.kernel = std::make_unique<core::KernelJob>(
-            job.config, job.spgemmPlan);
-        break;
-    }
-    if (job.config.simMode != core::SimMode::Detailed) {
-        // Fast tiers: the semantics run up front (host cost is O(kernel)
-        // regardless), then the job occupies its ranks until the charged
-        // slices cover the tier's estimated PU cycles — so it contends
-        // for the machine in virtual time exactly like a detailed job.
-        job.kernel->runToCompletion();
-        job.fastExecuted = true;
-        job.fastRemaining = job.kernel->puCycles();
-    }
-}
-
-void
-ServeCore::advance(Job &job)
-{
-    if (job.fastExecuted) {
-        job.fastRemaining -= std::min(job.fastRemaining,
-                                      config_.sliceCycles);
-        return;
-    }
-    if (!job.kernel->done())
-        job.kernel->step(config_.sliceCycles);
+    job.kernel = std::make_unique<core::KernelJob>(job.config, job.plan,
+                                                   std::move(job.x));
 }
 
 void
@@ -517,47 +488,43 @@ ServeCore::finishJob(Job &job, JobState state)
 json::Value
 ServeCore::buildResult(Job &job)
 {
+    const core::Kernel kind = job.kernel->kind();
     json::Object o;
-    o["kernel"] = json::Value(kernelName(job.kind));
+    o["kernel"] = json::Value(core::kernelName(kind));
     o["cacheHit"] = json::Value(job.cacheHit);
     o["ranks"] = json::Value(std::uint64_t(job.ranks));
     o["queueWaitCycles"] =
         json::Value(job.startCycle - job.submitCycle);
     o["totalCycles"] = json::Value(job.doneCycle - job.submitCycle);
 
-    // Report throughput against nnz(A), matching the direct-run
-    // convention (KernelJob::nnz() counts A+B for SpGEMM).
-    const std::uint64_t nnz = job.inputNnz;
-    switch (job.kind) {
-      case core::KernelJob::Kind::Transpose: {
+    core::RunResult run;
+    switch (kind) {
+      case core::Kernel::Transpose: {
         core::TransposeResult r = job.kernel->takeTranspose();
         o["csc"] = cscToJson(r.csc);
-        o["report"] = json::parse(
-            core::makeRunReport("menda.serve.job", "transpose",
-                                job.config, r, nnz)
-                .toJson());
+        run = std::move(r);
         break;
       }
-      case core::KernelJob::Kind::Spmv: {
+      case core::Kernel::Spmv: {
         core::SpmvResult r = job.kernel->takeSpmv();
         o["y"] = doubleVectorToJson(r.y);
-        o["report"] = json::parse(
-            core::makeRunReport("menda.serve.job", "spmv", job.config,
-                                r, nnz)
-                .toJson());
+        run = std::move(r);
         break;
       }
-      case core::KernelJob::Kind::Spgemm: {
+      case core::Kernel::Spgemm: {
         core::SpgemmResult r = job.kernel->takeSpgemm();
         o["c"] = csrToJson(r.c);
         o["partialProducts"] = json::Value(r.partialProducts);
-        o["report"] = json::parse(
-            core::makeRunReport("menda.serve.job", "spgemm",
-                                job.config, r, nnz)
-                .toJson());
+        run = std::move(r);
         break;
       }
     }
+    // Report throughput against nnz(A), matching the direct-run
+    // convention (KernelJob::nnz() counts A+B for SpGEMM).
+    o["report"] = json::parse(
+        core::makeRunReport("menda.serve.job", core::kernelName(kind),
+                            job.config, run, job.inputNnz)
+            .toJson());
     return json::Value(std::move(o));
 }
 
@@ -694,13 +661,13 @@ ServeCore::handleStatsStream(const json::Value &request) const
 {
     std::uint64_t from_seq = 0;
     if (request.has("afterSeq")) {
-        if (!request.at("afterSeq").isNumber() ||
-            request.at("afterSeq").asNumber() < 0)
+        const std::optional<std::uint64_t> seq =
+            integerIn(request.at("afterSeq"), 0, kMaxExactInteger);
+        if (!seq)
             return errorResponse("badRequest",
                                  "afterSeq must be a non-negative "
-                                 "number");
-        from_seq = static_cast<std::uint64_t>(
-            request.at("afterSeq").asNumber());
+                                 "integer");
+        from_seq = *seq;
     }
     json::Object o;
     o["type"] = json::Value("journal");

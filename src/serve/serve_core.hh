@@ -14,11 +14,11 @@
  * clock, so latency metrics are deterministic for a deterministic
  * request stream and independent of host speed.
  *
- * Fast-tier jobs (functional/sampled) execute their semantics at
- * dispatch (host time is O(kernel) anyway) and then occupy their ranks
- * until the charged slices cover the tier's estimated PU cycles — so a
- * functional job contends for the machine in virtual time exactly like
- * a detailed one, while staying cheap to simulate.
+ * Every fidelity tier honors the same step() contract: a fast-tier job
+ * (functional/sampled) executes its semantics on its first slice and
+ * then occupies its ranks until the slices cover the tier's estimated
+ * PU cycles — so it contends for the machine in virtual time exactly
+ * like a detailed one, while staying cheap to simulate.
  */
 
 #ifndef MENDA_SERVE_SERVE_CORE_HH
@@ -166,20 +166,15 @@ class ServeCore
         std::uint64_t id = 0;
         std::string tenant;
         std::uint64_t owner = 0;
-        core::KernelJob::Kind kind = core::KernelJob::Kind::Transpose;
         core::SystemConfig config; ///< per-job (rank subset of machine)
         unsigned ranks = 0;
         bool cacheHit = false;
         std::uint64_t inputNnz = 0; ///< nnz(A): report throughput basis
 
-        std::shared_ptr<const core::TransposePlan> transposePlan;
-        std::shared_ptr<const core::SpmvPlan> spmvPlan;
-        std::shared_ptr<const core::SpgemmPlan> spgemmPlan;
-        std::vector<Value> x;
+        core::KernelPlan plan;
+        std::vector<Value> x; ///< SpMV input vector
 
         std::unique_ptr<core::KernelJob> kernel; ///< built at dispatch
-        Cycle fastRemaining = 0; ///< fast tiers: cycles still charged
-        bool fastExecuted = false;
 
         JobState state = JobState::Queued;
         Cycle submitCycle = 0, startCycle = 0, doneCycle = 0;
@@ -218,7 +213,6 @@ class ServeCore
     unsigned inFlightOf(const std::string &tenant) const;
     std::size_t queuedCount() const;
     void dispatch(Job &job);      ///< Queued -> Running (build kernel)
-    void advance(Job &job);       ///< one slice of progress
     void complete(Job &job);      ///< Running -> Done (build result)
     void finishJob(Job &job, JobState state);
     obs::json::Value buildResult(Job &job);

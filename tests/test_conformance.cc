@@ -32,6 +32,7 @@
 
 using namespace menda;
 using namespace menda::check;
+using core::Kernel;
 
 namespace
 {
@@ -68,9 +69,6 @@ const GoldenCase kMatrices[] = {
       /*seed=*/13}},
 };
 
-const Kernel kKernels[] = {Kernel::Transpose, Kernel::Spmv,
-                           Kernel::Spgemm};
-
 CaseSpec
 goldenSpec(const GoldenCase &matrix, Kernel kernel)
 {
@@ -105,7 +103,7 @@ class GoldenReports
 TEST_P(GoldenReports, ByteIdenticalAndZeroToleranceDiff)
 {
     const GoldenCase &matrix = kMatrices[GetParam().first];
-    const Kernel kernel = kKernels[GetParam().second];
+    const Kernel kernel = core::kKernels[GetParam().second];
     const CaseSpec spec = goldenSpec(matrix, kernel);
     const EngineVariant baseline = variantsFor(spec).front();
     const CaseOutcome outcome = runVariant(spec, baseline);

@@ -183,9 +183,9 @@ TEST(ParallelSim, RepeatedParallelRunsAreDeterministic)
 
 TEST(ParallelSim, TraceBytesIdenticalAcrossThreadCounts)
 {
-    // Observed runs force the sharded path even at hostThreads == 1, so
-    // the serialized trace must be byte-for-byte identical no matter how
-    // many host threads simulate the shards.
+    // Every rank simulates on its own shard, so the serialized trace
+    // must be byte-for-byte identical no matter how many host threads
+    // run the shards.
     sparse::CsrMatrix a = sparse::generateRmat(512, 6000, 0.1, 0.2, 0.3,
                                                81);
     auto traceOf = [&](unsigned threads) {
@@ -227,8 +227,8 @@ TEST(ParallelSim, ReportBytesIdenticalAcrossThreadCounts)
 
 TEST(ParallelSim, ObservedSequentialMatchesUnobservedCounters)
 {
-    // Forcing the sharded path for observed runs must not change any
-    // simulated outcome relative to a plain run.
+    // Attaching a tracer must not change any simulated outcome
+    // relative to a plain run.
     sparse::CsrMatrix a = sparse::generateRmat(512, 6000, 0.1, 0.2, 0.3,
                                                85);
     MendaSystem plain(smallSystem(4, 16, 1));

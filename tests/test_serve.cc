@@ -195,6 +195,29 @@ TEST(Admission, MalformedRequestsGetTypedErrors)
         "x", serve::valueVectorToJson(shortX));
     EXPECT_EQ(errorCode(core.handle(bad)), "badRequest");
 
+    // Integer fields must hold an integer in range: no truncation of a
+    // fraction, no undefined cast of a huge or negative double.
+    const json::Value transpose =
+        submitRequest("transpose", sparse::generateUniform(8, 8, 16, 1));
+    for (const double pus : {0.0, 2.5, -1.0, 1e30})
+        EXPECT_EQ(errorCode(core.handle(
+                      withField(transpose, "pus", json::Value(pus)))),
+                  "badRequest")
+            << "pus " << pus;
+    for (const char *id : {"-1", "1.5", "1e300", "\"7\""})
+        EXPECT_EQ(errorCode(core.handle(json::parse(
+                      std::string("{\"type\":\"status\",\"id\":") + id +
+                      "}"))),
+                  "badRequest")
+            << "id " << id;
+    for (const char *seq : {"-1", "0.5", "1e300"})
+        EXPECT_EQ(errorCode(core.handle(json::parse(
+                      std::string("{\"type\":\"stats.stream\","
+                                  "\"afterSeq\":") +
+                      seq + "}"))),
+                  "badRequest")
+            << "afterSeq " << seq;
+
     EXPECT_TRUE(core.idle()); // nothing was admitted
 }
 
@@ -320,6 +343,61 @@ TEST(Jobs, AllKernelsMatchCpuReferences)
     EXPECT_TRUE(serve::csrFromJson(gr.at("c")) ==
                 baselines::spgemmHeapMerge(
                     a, serve::csrFromJson(spgemmReq.at("b"))));
+}
+
+TEST(Jobs, FastTiersHoldRanksForTheirEstimatedCycles)
+{
+    // A functional or sampled job occupies its rank for the slices that
+    // cover its estimated puCycles, at least one; a detailed job queued
+    // behind it on a one-rank fifo machine waits exactly that long.
+    const sparse::CsrMatrix a = sparse::generateUniform(64, 48, 1500, 23);
+    for (const std::string mode : {"functional", "sampled"}) {
+        for (const std::string kernel : {"transpose", "spmv"}) {
+            SCOPED_TRACE(mode + " " + kernel);
+            ServeConfig config = smallConfig(1);
+            config.policy = serve::SchedPolicy::Fifo;
+            ServeCore core(config);
+            const json::Value request = withField(
+                submitRequest(kernel, a, "fast"), "simMode",
+                json::Value(mode));
+            const std::uint64_t fastId = submittedId(core.handle(request));
+            const std::uint64_t nextId = submittedId(
+                core.handle(submitRequest("transpose", a, "next")));
+            core.runUntilIdle();
+
+            const json::Value r = core.jobResponse(fastId);
+            ASSERT_EQ(r.at("state").asString(), "done");
+            if (kernel == "transpose") {
+                EXPECT_TRUE(serve::cscFromJson(r.at("csc")) ==
+                            sparse::transposeReference(a));
+            } else {
+                const std::vector<double> y =
+                    serve::doubleVectorFromJson(r.at("y"));
+                const std::vector<double> want = sparse::spmvReference(
+                    a, serve::valueVectorFromJson(request.at("x")));
+                ASSERT_EQ(y.size(), want.size());
+                for (std::size_t i = 0; i < y.size(); ++i)
+                    EXPECT_NEAR(y[i], want[i],
+                                1e-3 * (std::abs(want[i]) + 1.0));
+            }
+
+            const Cycle slice = config.sliceCycles;
+            const auto pu_cycles = static_cast<Cycle>(
+                r.at("report").at("metrics").at("puCycles").asNumber());
+            EXPECT_GT(pu_cycles, slice); // spans several slices
+            const Cycle held =
+                std::max<Cycle>(1, (pu_cycles + slice - 1) / slice) *
+                slice;
+            EXPECT_EQ(r.at("totalCycles").asNumber() -
+                          r.at("queueWaitCycles").asNumber(),
+                      static_cast<double>(held));
+
+            const json::Value next = core.jobResponse(nextId);
+            ASSERT_EQ(next.at("state").asString(), "done");
+            EXPECT_EQ(next.at("queueWaitCycles").asNumber(),
+                      static_cast<double>(held));
+        }
+    }
 }
 
 // --- scheduling --------------------------------------------------------
