@@ -126,7 +126,6 @@ planTranspose(const sparse::CsrMatrix &a, const SystemConfig &config)
     plan->csr.reserve(n_pus);
     for (const auto &slice : plan->slices)
         plan->csr.push_back(sparse::extractSlice(a, slice));
-    plan->pages = colorPages(plan->slices, a.rows, a.nnz());
     return plan;
 }
 
@@ -145,7 +144,6 @@ planSpmv(const sparse::CsrMatrix &a, const SystemConfig &config)
     for (const auto &slice : plan->slices)
         plan->csc.push_back(
             sparse::transposeReference(sparse::extractSlice(a, slice)));
-    plan->pages = colorPages(plan->slices, a.rows, a.nnz());
     return plan;
 }
 
@@ -183,59 +181,51 @@ KernelJob::KernelJob(const SystemConfig &config, KernelPlan plan,
     menda_assert(have == n_pus,
                  "kernel plan was built for a different rank count");
 
+    // One rank per PU (Sec. 3.5: PUs never communicate during a pass).
+    // A detailed rank's (PU, controller) pair owns a private scheduler;
+    // fast tiers have no per-cycle events: no scheduler, no tracer.
+    // Ranks share nothing mutable — const plan slices in, per-rank
+    // components and counters out — and a rank's tick schedule does not
+    // depend on the host thread count or on where step() pauses, which
+    // is what makes outputs, counters, traces, and reports
+    // byte-identical however the job is sliced or threaded.
+    const bool detailed = config_.simMode == SimMode::Detailed;
+    if (detailed && tracer)
+        tracer->ensureShards(n_pus);
     wallStart_ = std::chrono::steady_clock::now();
-    mems_.reserve(n_pus);
-    pus_.reserve(n_pus);
+    ranks_.reserve(n_pus);
     for (unsigned i = 0; i < n_pus; ++i) {
-        mems_.push_back(std::make_unique<dram::MemoryController>(
+        Rank &rank = ranks_.emplace_back();
+        rank.mem = std::make_unique<dram::MemoryController>(
             "mem" + std::to_string(i), config_.dram,
-            config_.pu.requestCoalescing));
-        mems_.back()->setSamplePeriod(config_.samplePeriod);
-        pus_.push_back(std::visit(
+            config_.pu.requestCoalescing);
+        rank.mem->setSamplePeriod(config_.samplePeriod);
+        rank.pu = std::visit(
             [&](const auto &p) {
                 return makePu("pu" + std::to_string(i), config_.pu, *p, x_,
-                              i, mems_.back().get());
+                              i, rank.mem.get());
             },
-            plan_));
-        pus_.back()->setSamplePeriod(config_.samplePeriod);
-    }
-
-    if (config_.simMode != SimMode::Detailed) {
-        // Fast tiers have no per-cycle events: no shards, no tracer.
-        fastStats_.assign(n_pus, FastSimStats{});
-        return;
-    }
-
-    // Shard per rank (Sec. 3.5: PUs never communicate during a pass):
-    // each (PU, controller) pair owns a private scheduler. Shards share
-    // nothing mutable — const plan slices in, per-shard components and
-    // counters out — and the per-rank tick schedule does not depend on
-    // the host thread count or on where step() pauses, which is what
-    // makes outputs, counters, traces, and reports byte-identical
-    // between batch, stepped, and threaded execution.
-    if (tracer)
-        tracer->ensureShards(n_pus);
-    shards_.reserve(n_pus);
-    for (unsigned i = 0; i < n_pus; ++i) {
-        auto shard = std::make_unique<Shard>();
+            plan_);
+        rank.pu->setSamplePeriod(config_.samplePeriod);
+        rank.nextMark = config_.progressEveryCycles;
+        if (!detailed)
+            continue;
         if (tracer) {
-            // Shard i is written only by its owning thread; registration
-            // order (controller, PU, then the scheduler's idle-skip
-            // tracks at finalize) is fixed, so the trace is
+            // Trace shard i is written only by rank i's thread;
+            // registration order (controller, PU, then the scheduler's
+            // idle-skip tracks at finalize) is fixed, so the trace is
             // deterministic.
             obs::TraceShard *ts = tracer->shard(i);
-            shard->sched.setTrace(ts);
-            mems_[i]->attachTrace(ts);
-            pus_[i]->attachTrace(ts);
+            rank.sched.setTrace(ts);
+            rank.mem->attachTrace(ts);
+            rank.pu->attachTrace(ts);
         }
-        shard->puClk = shard->sched.addDomain("pu", config_.pu.freqMhz);
-        shard->memClk = shard->sched.addDomain("dram",
-                                               config_.dram.freqMhz);
-        shard->memClk->attach(mems_[i].get());
-        shard->puClk->attach(pus_[i].get());
-        shard->nextMark = config_.progressEveryCycles;
-        pus_[i]->start();
-        shards_.push_back(std::move(shard));
+        ClockDomain *pu_clk = rank.sched.addDomain("pu", config_.pu.freqMhz);
+        ClockDomain *mem_clk =
+            rank.sched.addDomain("dram", config_.dram.freqMhz);
+        mem_clk->attach(rank.mem.get());
+        pu_clk->attach(rank.pu.get());
+        rank.pu->start();
     }
 }
 
@@ -244,59 +234,62 @@ KernelJob::~KernelJob() = default;
 bool
 KernelJob::done() const
 {
-    if (config_.simMode != SimMode::Detailed)
-        return fastRan_ && grantedCycles_ >= puCycles();
-    return std::all_of(shards_.begin(), shards_.end(),
-                       [](const auto &s) { return s->finished; });
+    return std::all_of(ranks_.begin(), ranks_.end(),
+                       [](const Rank &rank) { return rank.finished; });
 }
 
 void
-KernelJob::runShardToCompletion(std::size_t i)
+KernelJob::advance(std::size_t i, Cycle n)
 {
-    Shard &shard = *shards_[i];
-    if (shard.finished)
+    Rank &rank = ranks_[i];
+    if (rank.finished)
         return;
-    const std::uint64_t progress_every = config_.progressEveryCycles;
-    shard.sched.runUntil([&] {
-        if (progress_every != 0 && pus_[i]->cycles() >= shard.nextMark) {
-            emitProgress(i, pus_[i]->cycles(), wallStart_,
-                         mems_[i]->readQueue().size() +
-                             mems_[i]->writeQueue().size());
-            shard.nextMark += progress_every;
+    Pu &pu = *rank.pu;
+    const Cycle progress_every = config_.progressEveryCycles;
+
+    if (config_.simMode == SimMode::Detailed) {
+        // Saturates, so runToCompletion()'s ~0 slice never wraps.
+        const Cycle target = pu.cycles() + std::min(n, ~pu.cycles());
+        rank.sched.runUntil([&] {
+            if (progress_every != 0 && pu.cycles() >= rank.nextMark) {
+                emitProgress(i, pu.cycles(), wallStart_,
+                             rank.mem->readQueue().size() +
+                                 rank.mem->writeQueue().size());
+                rank.nextMark += progress_every;
+            }
+            return pu.done() || pu.cycles() >= target;
+        });
+        if (pu.done()) {
+            rank.seconds = rank.sched.seconds();
+            rank.finished = true;
         }
-        return pus_[i]->done();
-    });
-    shard.seconds = shard.sched.seconds();
-    shard.finished = true;
-}
-
-void
-KernelJob::runFastRank(std::size_t i)
-{
-    const std::uint64_t progress_every = config_.progressEveryCycles;
-    const char *mode = simModeName(config_.simMode);
-    Cycle next_mark = progress_every;
-    Pu::ProgressHook hook;
-    if (progress_every != 0)
-        hook = [&, i](Cycle cycles, Cycle fast_forwarded) {
-            if (cycles < next_mark)
-                return;
-            emitProgress(i, cycles, wallStart_, 0, mode, fast_forwarded);
-            next_mark = cycles - cycles % progress_every + progress_every;
-        };
-    fastStats_[i] = config_.simMode == SimMode::Functional
-                        ? pus_[i]->runFunctional(hook)
-                        : pus_[i]->runSampled(config_.sampled, hook);
-}
-
-void
-KernelJob::runFast()
-{
-    if (fastRan_)
         return;
-    ParallelRunner pool(config_.hostThreads);
-    pool.run(pus_.size(), [&](std::size_t i) { runFastRank(i); });
-    fastRan_ = true;
+    }
+
+    // The fast tiers advance semantics in O(kernel) host time, so a rank
+    // runs whole on its first slice; later slices only let its
+    // estimated time pass.
+    if (!rank.ran) {
+        const char *mode = simModeName(config_.simMode);
+        Pu::ProgressHook hook;
+        if (progress_every != 0)
+            hook = [&, i](Cycle cycles, Cycle fast_forwarded) {
+                if (cycles < rank.nextMark)
+                    return;
+                emitProgress(i, cycles, wallStart_, 0, mode,
+                             fast_forwarded);
+                rank.nextMark = cycles - cycles % progress_every +
+                                progress_every;
+            };
+        rank.fast = config_.simMode == SimMode::Functional
+                        ? pu.runFunctional(hook)
+                        : pu.runSampled(config_.sampled, hook);
+        rank.seconds = static_cast<double>(pu.cycles()) /
+                       (static_cast<double>(config_.pu.freqMhz) * 1e6);
+        rank.ran = true;
+    }
+    rank.granted += std::min(n, pu.cycles() - rank.granted);
+    rank.finished = rank.granted >= pu.cycles();
 }
 
 bool
@@ -304,52 +297,24 @@ KernelJob::step(Cycle max_pu_cycles)
 {
     if (done() || max_pu_cycles == 0)
         return false;
-
-    if (config_.simMode != SimMode::Detailed) {
-        // The fast tiers advance semantics in O(kernel) host time, so
-        // they run whole on the first slice; later slices only let the
-        // estimated time pass.
-        runFast();
-        grantedCycles_ += std::min(max_pu_cycles,
-                                   puCycles() - grantedCycles_);
-        return done();
-    }
-
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard &shard = *shards_[i];
-        if (shard.finished)
-            continue;
-        const Cycle target = pus_[i]->cycles() + max_pu_cycles;
-        shard.sched.runUntil([&] {
-            return pus_[i]->done() || pus_[i]->cycles() >= target;
-        });
-        if (pus_[i]->done()) {
-            shard.seconds = shard.sched.seconds();
-            shard.finished = true;
-        }
-    }
+    ParallelRunner pool(config_.hostThreads);
+    pool.run(ranks_.size(),
+             [&](std::size_t i) { advance(i, max_pu_cycles); });
     return done();
 }
 
 void
 KernelJob::runToCompletion()
 {
-    if (config_.simMode != SimMode::Detailed) {
-        runFast();
-        grantedCycles_ = puCycles();
-        return;
-    }
-    ParallelRunner pool(config_.hostThreads);
-    pool.run(shards_.size(),
-             [&](std::size_t i) { runShardToCompletion(i); });
+    step(~Cycle(0));
 }
 
 Cycle
 KernelJob::puCycles() const
 {
     Cycle max_cycles = 0;
-    for (const auto &pu : pus_)
-        max_cycles = std::max(max_cycles, pu->cycles());
+    for (const Rank &rank : ranks_)
+        max_cycles = std::max(max_cycles, rank.pu->cycles());
     return max_cycles;
 }
 
@@ -359,29 +324,17 @@ KernelJob::nnz() const
     return std::visit([](const auto &p) { return p->nnz; }, plan_);
 }
 
-double
-KernelJob::finishSeconds() const
-{
-    if (config_.simMode != SimMode::Detailed)
-        return static_cast<double>(puCycles()) /
-               (static_cast<double>(config_.pu.freqMhz) * 1e6);
-    double seconds = 0.0;
-    for (const auto &shard : shards_)
-        seconds = std::max(seconds, shard->seconds);
-    return seconds;
-}
-
 void
 KernelJob::collect(RunResult &result)
 {
     menda_assert(done(), "collect() before the job finished");
-    result.seconds = finishSeconds();
     iterStats_.clear();
     Cycle bus_cycles_total = 0;
     Cycle elapsed_mem_cycles = 0;
-    for (std::size_t i = 0; i < pus_.size(); ++i) {
-        const Pu &pu = *pus_[i];
-        const dram::MemoryController &mem = *mems_[i];
+    for (const Rank &rank : ranks_) {
+        const Pu &pu = *rank.pu;
+        const dram::MemoryController &mem = *rank.mem;
+        result.seconds = std::max(result.seconds, rank.seconds);
         result.puCycles = std::max(result.puCycles, pu.cycles());
         result.iterations = std::max(result.iterations,
                                      pu.iterationsExecuted());
@@ -414,23 +367,20 @@ KernelJob::collect(RunResult &result)
             result.spilledReadBlocks[t] += sp_r[t];
         for (std::size_t t = 0; t < sp_w.size(); ++t)
             result.spilledWriteBlocks[t] += sp_w[t];
+        result.sampledWindows += rank.fast.sampledWindows;
+        result.errorBoundPct =
+            std::max(result.errorBoundPct, rank.fast.errorBoundPct);
+        result.fastForwardedCycles += rank.fast.fastForwardedCycles;
     }
-    if (!pus_.empty()) {
-        result.treeOccupancy = pus_[0]->occupancySamples();
-        result.readQueueDepth = mems_[0]->readDepthSamples();
+    if (!ranks_.empty()) {
+        result.treeOccupancy = ranks_[0].pu->occupancySamples();
+        result.readQueueDepth = ranks_[0].mem->readDepthSamples();
     }
     if (elapsed_mem_cycles > 0)
         result.busUtilization =
             static_cast<double>(bus_cycles_total) /
-            (static_cast<double>(elapsed_mem_cycles) * pus_.size());
+            (static_cast<double>(elapsed_mem_cycles) * ranks_.size());
     result.simMode = config_.simMode;
-    for (const FastSimStats &st : fastStats_) {
-        result.sampledWindows += st.sampledWindows;
-        result.errorBoundPct =
-            std::max(result.errorBoundPct, st.errorBoundPct);
-        result.fastForwardedCycles += st.fastForwardedCycles;
-    }
-    finishedCollect_ = true;
 }
 
 TransposeResult
@@ -450,8 +400,8 @@ KernelJob::takeTranspose()
     result.csc.ptr.assign(static_cast<std::size_t>(plan.cols) + 1, 0);
     result.csc.idx.resize(plan.nnz);
     result.csc.val.resize(plan.nnz);
-    for (const auto &pu : pus_) {
-        const std::vector<std::uint32_t> &ptr = pu->resultCsc().ptr;
+    for (const Rank &rank : ranks_) {
+        const std::vector<std::uint32_t> &ptr = rank.pu->resultCsc().ptr;
         for (std::size_t c = 0; c < plan.cols; ++c)
             result.csc.ptr[c + 1] += ptr[c + 1] - ptr[c];
     }
@@ -460,8 +410,8 @@ KernelJob::takeTranspose()
     std::vector<std::uint32_t> cursor;
     cursor.reserve(plan.cols);
     cursor.assign(result.csc.ptr.begin(), result.csc.ptr.end() - 1);
-    for (const auto &pu : pus_) {
-        const sparse::CscMatrix &part = pu->resultCsc();
+    for (const Rank &rank : ranks_) {
+        const sparse::CscMatrix &part = rank.pu->resultCsc();
         for (std::size_t c = 0; c < plan.cols; ++c) {
             const std::uint32_t begin = part.ptr[c];
             const std::uint32_t len = part.ptr[c + 1] - begin;
@@ -486,8 +436,8 @@ KernelJob::takeSpmv()
     collect(result);
 
     result.y.assign(plan.rows, 0.0);
-    for (std::size_t i = 0; i < pus_.size(); ++i) {
-        const auto &part = pus_[i]->resultVector();
+    for (std::size_t i = 0; i < ranks_.size(); ++i) {
+        const auto &part = ranks_[i].pu->resultVector();
         for (std::size_t r = 0; r < part.size(); ++r)
             result.y[plan.slices[i].rowBegin + r] = part[r];
     }
@@ -510,8 +460,8 @@ KernelJob::takeSpgemm()
     result.c.rows = plan.rows;
     result.c.cols = plan.cols;
     result.c.ptr.assign(static_cast<std::size_t>(plan.rows) + 1, 0);
-    for (std::size_t i = 0; i < pus_.size(); ++i) {
-        const sparse::CsrMatrix &part = pus_[i]->resultCsr();
+    for (std::size_t i = 0; i < ranks_.size(); ++i) {
+        const sparse::CsrMatrix &part = ranks_[i].pu->resultCsr();
         const Index base = plan.slices[i].rowBegin;
         for (Index r = 0; r < part.rows; ++r)
             result.c.ptr[base + r + 1] = part.ptr[r + 1] - part.ptr[r];

@@ -8,20 +8,20 @@
  * as *jobs* that interleave on one simulated machine, so the pipeline is
  * split in two:
  *
- *  - a *plan* is the host-side allocation + layout work for one matrix:
- *    the NNZ- (or merge-work-) balanced partitioning, the extracted
- *    per-rank slice arrays, and the page-coloring placement. Plans are
- *    immutable and shareable — the serve residency cache keeps them
- *    alive across jobs so a repeated matrix skips re-layout entirely;
- *  - a *job* owns the simulated components (PUs, controllers, one
- *    private TickScheduler per rank shard) and advances in bounded
- *    cycle slices via step(), so a scheduler can interleave many jobs
- *    on one machine and a long SpGEMM cannot starve short SpMVs.
+ *  - a *plan* is the host-side layout work for one matrix: the NNZ-
+ *    (or merge-work-) balanced partitioning and the extracted per-rank
+ *    slice arrays. Plans are immutable and shareable — the serve
+ *    residency cache keeps them alive across jobs so a repeated matrix
+ *    skips re-layout entirely;
+ *  - a *job* owns the simulated components (one PU, controller and
+ *    private TickScheduler per rank) and advances in bounded cycle
+ *    slices via step(), so a scheduler can interleave many jobs on one
+ *    machine and a long SpGEMM cannot starve short SpMVs.
  *
- * runToCompletion() runs the rank shards on the host thread pool;
- * outputs, counters, and reports are bit-identical between stepped and
- * batch execution because pausing runUntil() does not change the tick
- * sequence.
+ * step() advances every rank on the host thread pool, and
+ * runToCompletion() is step() with an unbounded slice. Outputs,
+ * counters, and reports are bit-identical however a job is sliced
+ * because pausing runUntil() does not change the tick sequence.
  */
 
 #ifndef MENDA_MENDA_JOB_HH
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "menda/kernel.hh"
-#include "menda/page_coloring.hh"
 #include "menda/system.hh"
 #include "sim/clock.hh"
 
@@ -47,7 +46,6 @@ struct TransposePlan
     std::uint64_t nnz = 0;
     std::vector<sparse::RowSlice> slices;  ///< balanced row ranges
     std::vector<sparse::CsrMatrix> csr;    ///< extracted per-rank slices
-    PageTable pages;                       ///< page-colored placement
 
     /** Simulated bytes this layout keeps resident (cache accounting). */
     std::uint64_t residentBytes() const;
@@ -60,7 +58,6 @@ struct SpmvPlan
     std::uint64_t nnz = 0;
     std::vector<sparse::RowSlice> slices;
     std::vector<sparse::CscMatrix> csc;    ///< per-rank CSC partitions
-    PageTable pages;
 
     std::uint64_t residentBytes() const;
 };
@@ -96,12 +93,12 @@ using KernelPlan = std::variant<std::shared_ptr<const TransposePlan>,
 /**
  * One offloaded kernel with resumable execution.
  *
- * Detailed tier: every rank owns a private shard (TickScheduler + PU +
- * controller) that step() advances cycle by cycle. Fast tiers
- * (Functional/Sampled) run their semantics on the first step() and
- * then let simulated time pass until it covers the analytical
- * puCycles() estimate, so a fast job occupies a machine exactly as long
- * as it claims to.
+ * Every rank is advanced independently (Sec. 3.5: PUs never communicate
+ * during a pass). Detailed tier: a rank's private TickScheduler ticks
+ * its PU and controller cycle by cycle. Fast tiers (Functional/Sampled)
+ * run a rank's semantics on its first slice and then let simulated time
+ * pass until it covers the rank's analytical cycle estimate, so a fast
+ * job occupies a machine exactly as long as it claims to.
  */
 class KernelJob
 {
@@ -123,13 +120,13 @@ class KernelJob
 
     /**
      * Let up to @p max_pu_cycles PU cycles of simulated time pass on
-     * every unfinished rank. Returns true when the job has just
-     * finished. A slice of 0 is a no-op.
+     * every unfinished rank, on a pool of config.hostThreads host
+     * threads. Returns true when the job has just finished. A slice of
+     * 0 is a no-op.
      */
     bool step(Cycle max_pu_cycles);
 
-    /** Run every rank to completion on a pool of config.hostThreads
-     *  host threads. */
+    /** step() with an unbounded slice. */
     void runToCompletion();
 
     /** PU cycles of the slowest rank so far (exact once done). */
@@ -150,38 +147,31 @@ class KernelJob
     }
 
   private:
-    /** One rank's private simulation: scheduler + clock domains. */
-    struct Shard
+    /** One rank's private simulation and its progress. */
+    struct Rank
     {
-        TickScheduler sched;
-        ClockDomain *puClk = nullptr;
-        ClockDomain *memClk = nullptr;
+        std::unique_ptr<dram::MemoryController> mem;
+        std::unique_ptr<Pu> pu;
+        TickScheduler sched; ///< Detailed tier only
+        FastSimStats fast;   ///< fast tiers only
+        bool ran = false;    ///< fast tiers: semantics executed
+        Cycle granted = 0;   ///< fast tiers: time passed, <= pu cycles
         bool finished = false;
-        double seconds = 0.0;
-        Cycle nextMark = 0; ///< next --progress heartbeat boundary
+        double seconds = 0.0; ///< simulated time, once finished
+        Cycle nextMark = 0;   ///< next --progress heartbeat boundary
     };
 
-    void runShardToCompletion(std::size_t i);
-    void runFastRank(std::size_t i);
-    /** Fast tiers: execute every rank's semantics (once). */
-    void runFast();
-    double finishSeconds() const;
+    /** Let up to @p n PU cycles pass on rank @p i. */
+    void advance(std::size_t i, Cycle n);
     void collect(RunResult &result);
 
     SystemConfig config_;
     KernelPlan plan_;      ///< shared immutable input
     std::vector<Value> x_; ///< SpMV input vector (owned)
-
-    std::vector<std::unique_ptr<dram::MemoryController>> mems_;
-    std::vector<std::unique_ptr<Pu>> pus_;
-    std::vector<std::unique_ptr<Shard>> shards_; ///< Detailed tier only
-    std::vector<FastSimStats> fastStats_;        ///< fast tiers only
-    bool fastRan_ = false;    ///< fast tiers: semantics executed
-    Cycle grantedCycles_ = 0; ///< fast tiers: time passed, <= puCycles()
+    std::vector<Rank> ranks_;
 
     std::chrono::steady_clock::time_point wallStart_;
     std::vector<std::vector<IterationStats>> iterStats_;
-    bool finishedCollect_ = false;
 };
 
 } // namespace menda::core

@@ -806,8 +806,9 @@ Pu::doRootPop()
         return;
     }
     // SpMV (and the SpGEMM final iteration): the reduction unit merges
-    // consecutive packets with an equal merge key using the pipelined
-    // FP adders (Sec. 3.6). SpGEMM keys on (row, col), SpMV on row.
+    // consecutive packets with an equal merge key (Sec. 3.6's pipelined
+    // FP adders, whose latency is not modeled). SpGEMM keys on
+    // (row, col), SpMV on row.
     bool accepted = false;
     if (p.valid) {
         const bool same_key =

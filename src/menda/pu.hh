@@ -186,7 +186,6 @@ class Pu : public Ticked
     const PuMemoryMap &memoryMap() const { return map_; }
     const StatGroup &stats() const { return stats_; }
     std::uint64_t loadsIssued() const { return loads_.value(); }
-    std::uint64_t storesIssued() const { return stores_.value(); }
     std::uint64_t retriesIssued() const { return retries_.value(); }
 
     /** Cycles the root had output but the output unit back-pressured. */

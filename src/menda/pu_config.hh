@@ -60,24 +60,12 @@ struct PuConfig
      */
     unsigned retryTimeoutCycles = 8192;
 
-    /** Pipeline depth of the FP reduction adders (SpMV only, Tab. 1). */
-    unsigned fpAdderStages = 2;
-
-    /** Pipeline depth of the FP multipliers (SpMV only, Tab. 1). */
-    unsigned fpMultiplierStages = 3;
-
-    /** Vector lanes of the SpMV multiplier (Tab. 1: 16). */
-    unsigned fpMultiplierLanes = 16;
-
     /**
      * SpGEMM merge scheduling (SpGEMM only): uniform ceil(n/l) rounds
      * (the oracle) or the condensed/Huffman planner of
      * spgemm::planMergeTree. Outputs are bitwise identical either way.
      */
     spgemm::SpgemmConfig spgemm;
-
-    /** Number of streams each round merges. */
-    unsigned streamsPerRound() const { return leaves; }
 };
 
 } // namespace menda::core

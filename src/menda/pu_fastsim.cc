@@ -22,8 +22,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -733,13 +731,6 @@ Pu::runSampled(const SampledConfig &sampled, const ProgressHook &progress)
                 else if (cv < 0.08)
                     gap_mult = 1.5;
             }
-            if (std::getenv("MENDA_DEBUG_RATES"))
-                std::fprintf(stderr,
-                             "[rates] %s iter=%u cycle=%llu rate=%.4f "
-                             "fill=%.3f\n",
-                             name_.c_str(), iteration_,
-                             static_cast<unsigned long long>(cycle_), r,
-                             buf_fill);
         }
         if (!win.done())
             buf_fill = win.avgBufferFill();

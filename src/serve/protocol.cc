@@ -1,6 +1,9 @@
 #include "serve/protocol.hh"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace menda::serve
 {
@@ -26,6 +29,7 @@ numberArray(const std::vector<T> &v)
     return obs::json::Value(std::move(array));
 }
 
+/** Indices (integral T) must be exact integers that fit T. */
 template <typename T>
 std::vector<T>
 numbersFrom(const obs::json::Value &v, const char *what)
@@ -34,22 +38,41 @@ numbersFrom(const obs::json::Value &v, const char *what)
     std::vector<T> out;
     out.reserve(v.asArray().size());
     for (const obs::json::Value &x : v.asArray()) {
-        expect(x.isNumber(), what);
-        out.push_back(static_cast<T>(x.asNumber()));
+        if constexpr (std::is_integral_v<T>) {
+            const std::optional<std::uint64_t> n =
+                integerIn(x, 0, std::numeric_limits<T>::max());
+            expect(n.has_value(), what);
+            out.push_back(static_cast<T>(*n));
+        } else {
+            expect(x.isNumber(), what);
+            out.push_back(static_cast<T>(x.asNumber()));
+        }
     }
     return out;
 }
 
-std::uint64_t
+Index
 indexField(const obs::json::Value &v, const char *key)
 {
-    const obs::json::Value &field = v.at(key);
-    expect(field.isNumber(), "matrix field is not a number");
-    expect(field.asNumber() >= 0, "matrix dimension is negative");
-    return static_cast<std::uint64_t>(field.asNumber());
+    const std::optional<std::uint64_t> n =
+        integerIn(v.at(key), 0, std::numeric_limits<Index>::max());
+    expect(n.has_value(), "matrix dimension is not an index");
+    return static_cast<Index>(*n);
 }
 
 } // namespace
+
+std::optional<std::uint64_t>
+integerIn(const obs::json::Value &v, std::uint64_t lo, std::uint64_t hi)
+{
+    if (!v.isNumber())
+        return std::nullopt;
+    const double d = v.asNumber();
+    if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+        d != std::floor(d))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(d);
+}
 
 std::string
 encodeFrame(const std::string &payload)
@@ -114,20 +137,12 @@ csrFromJson(const obs::json::Value &v)
 {
     expect(v.isObject(), "matrix is not an object");
     sparse::CsrMatrix m;
-    m.rows = static_cast<Index>(indexField(v, "rows"));
-    m.cols = static_cast<Index>(indexField(v, "cols"));
+    m.rows = indexField(v, "rows");
+    m.cols = indexField(v, "cols");
     m.ptr = numbersFrom<std::uint32_t>(v.at("ptr"), "bad ptr array");
     m.idx = numbersFrom<std::uint32_t>(v.at("idx"), "bad idx array");
     m.val = numbersFrom<Value>(v.at("val"), "bad val array");
-    expect(m.ptr.size() == static_cast<std::size_t>(m.rows) + 1,
-           "ptr length != rows + 1");
-    expect(m.idx.size() == m.val.size(), "idx/val length mismatch");
-    expect(!m.ptr.empty() && m.ptr.front() == 0, "ptr[0] != 0");
-    expect(m.ptr.back() == m.idx.size(), "ptr[rows] != nnz");
-    for (std::size_t r = 1; r < m.ptr.size(); ++r)
-        expect(m.ptr[r - 1] <= m.ptr[r], "ptr not monotonic");
-    for (std::uint32_t c : m.idx)
-        expect(c < m.cols, "column index out of range");
+    m.validate();
     return m;
 }
 
@@ -148,14 +163,12 @@ cscFromJson(const obs::json::Value &v)
 {
     expect(v.isObject(), "matrix is not an object");
     sparse::CscMatrix m;
-    m.rows = static_cast<Index>(indexField(v, "rows"));
-    m.cols = static_cast<Index>(indexField(v, "cols"));
+    m.rows = indexField(v, "rows");
+    m.cols = indexField(v, "cols");
     m.ptr = numbersFrom<std::uint32_t>(v.at("ptr"), "bad ptr array");
     m.idx = numbersFrom<std::uint32_t>(v.at("idx"), "bad idx array");
     m.val = numbersFrom<Value>(v.at("val"), "bad val array");
-    expect(m.ptr.size() == static_cast<std::size_t>(m.cols) + 1,
-           "ptr length != cols + 1");
-    expect(m.idx.size() == m.val.size(), "idx/val length mismatch");
+    m.validate();
     return m;
 }
 

@@ -20,6 +20,7 @@
 #define MENDA_SERVE_PROTOCOL_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/types.hh"
@@ -80,7 +81,16 @@ class FrameReader
     std::uint32_t badLength_ = 0;
 };
 
-// --- JSON codecs (throw std::runtime_error on malformed input) ---
+/**
+ * @p v as an integer in [@p lo, @p hi]; nullopt when it is not a
+ * number, has a fractional part, or lies outside the range (NaN and
+ * infinities included), so converting it is always defined.
+ */
+std::optional<std::uint64_t> integerIn(const obs::json::Value &v,
+                                       std::uint64_t lo, std::uint64_t hi);
+
+// --- JSON codecs (throw std::runtime_error on malformed input; a
+// decoded matrix is canonical: sorted, duplicate-free, in range) ---
 
 obs::json::Value csrToJson(const sparse::CsrMatrix &m);
 sparse::CsrMatrix csrFromJson(const obs::json::Value &v);

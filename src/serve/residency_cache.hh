@@ -3,11 +3,11 @@
  * Matrix-residency cache (DESIGN.md §13).
  *
  * A plan (menda/job.hh) is the expensive host-side half of an offload:
- * NNZ-balanced partitioning, per-rank slice extraction, and the
- * page-coloring placement. Plans are immutable and shared via
- * shared_ptr, so the cache can hand the same plan to any number of
- * concurrent jobs and evict it at will — in-flight jobs keep their
- * reference alive; eviction only drops the cache's.
+ * NNZ-balanced partitioning and per-rank slice extraction. Plans are
+ * immutable and shared via shared_ptr, so the cache can hand the same
+ * plan to any number of concurrent jobs and evict it at will —
+ * in-flight jobs keep their reference alive; eviction only drops the
+ * cache's.
  *
  * Keys are content hashes (FNV-1a over dimensions + arrays) plus the
  * rank count and partitioning mode the plan was built for: a repeated

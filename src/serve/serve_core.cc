@@ -22,23 +22,6 @@ namespace
 /** Every integer up to 2^53 is exact in a JSON (double) number. */
 constexpr std::uint64_t kMaxExactInteger = std::uint64_t(1) << 53;
 
-/**
- * @p v as an integer in [@p lo, @p hi]; nullopt when it is not a
- * number, has a fractional part, or lies outside the range (NaN and
- * infinities included), so the cast below is always defined.
- */
-std::optional<std::uint64_t>
-integerIn(const json::Value &v, std::uint64_t lo, std::uint64_t hi)
-{
-    if (!v.isNumber())
-        return std::nullopt;
-    const double d = v.asNumber();
-    if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
-        d != std::floor(d))
-        return std::nullopt;
-    return static_cast<std::uint64_t>(d);
-}
-
 /** Nearest-rank percentile of an unsorted sample vector. */
 std::uint64_t
 percentile(std::vector<std::uint64_t> samples, double pct)
@@ -205,12 +188,10 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
 
     // The per-job machine: a rank subset of the shared pool. Fidelity
     // and the ablation/sampling knobs come from the daemon's config.
-    // hostThreads is inherited: sliced (detailed) execution steps
-    // shards sequentially regardless, and fast tiers run their
-    // semantics on the first slice through the host thread pool, which
-    // is bit-identical to sequential — so every observable byte
-    // (results, journal, traces, metrics) is independent of the
-    // daemon's --threads.
+    // hostThreads is inherited: every slice advances the job's ranks on
+    // the host thread pool, which is bit-identical to sequential — so
+    // every observable byte (results, journal, traces, metrics) is
+    // independent of the daemon's --threads.
     job.config = config_.system;
     job.config.channels = 1;
     job.config.dimmsPerChannel = 1;

@@ -148,11 +148,13 @@ SocketServer::iterate(int timeout_ms)
                              static_cast<nfds_t>(fds.size()),
                              timeout_ms);
     if (ready > 0) {
+        // fds[i + 1] pairs with conns_[i] for the connections polled
+        // above; acceptPending() appends ones that were not, so they
+        // wait for the next round.
+        const std::size_t polled = conns_.size();
         if (fds[0].revents & POLLIN)
             acceptPending();
-        for (std::size_t i = 0; i < conns_.size(); ++i) {
-            // fds[i + 1] pairs with conns_[i]; acceptPending() only
-            // appends, so the prefix correspondence holds.
+        for (std::size_t i = 0; i < polled; ++i) {
             Conn &conn = *conns_[i];
             if (fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR))
                 readConn(conn);
@@ -186,19 +188,16 @@ void
 SocketServer::readConn(Conn &conn)
 {
     char buf[16384];
+    bool peer_gone = false;
     for (;;) {
         const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
         if (n > 0) {
             conn.reader.feed(buf, static_cast<std::size_t>(n));
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            break;
-        // EOF or hard error: the peer is gone. Cancel its jobs.
-        core_.cancelOwner(conn.owner);
-        ::close(conn.fd);
-        conn.fd = -1;
-        return;
+        // EOF or a hard error means the peer is gone.
+        peer_gone = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+        break;
     }
     for (;;) {
         std::string payload, error;
@@ -225,6 +224,13 @@ SocketServer::readConn(Conn &conn)
         handlePayload(conn, payload);
         if (conn.fd < 0 || conn.closing)
             break;
+    }
+    if (peer_gone && conn.fd >= 0) {
+        // Requests that arrived with the hang-up were handled above;
+        // now cancel every job the peer owns.
+        core_.cancelOwner(conn.owner);
+        ::close(conn.fd);
+        conn.fd = -1;
     }
     if (conn.fd >= 0)
         flushConn(conn);

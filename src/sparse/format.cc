@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -11,34 +13,45 @@ namespace menda::sparse
 namespace
 {
 
+/** Reject a malformed matrix: callers (wire decode, tests) catch this,
+ *  so it throws without logging. */
+template <typename... Args>
+[[noreturn]] void
+reject(const char *what, Args &&...args)
+{
+    throw std::runtime_error(
+        detail::formatArgs(what, ": ", std::forward<Args>(args)...));
+}
+
 void
 validateCompressed(const char *what, Index major, Index minor,
                    const std::vector<std::uint32_t> &ptr,
                    const std::vector<Index> &idx,
                    const std::vector<Value> &val)
 {
-    if (ptr.size() != static_cast<std::size_t>(major) + 1)
-        menda_fatal(what, ": pointer array has ", ptr.size(),
-                    " entries, expected ", major + 1);
+    const std::size_t lines = static_cast<std::size_t>(major) + 1;
+    if (ptr.size() != lines)
+        reject(what, "pointer array has ", ptr.size(),
+               " entries, expected ", lines);
     if (ptr.front() != 0)
-        menda_fatal(what, ": pointer array must start at 0");
+        reject(what, "pointer array must start at 0");
     if (ptr.back() != idx.size())
-        menda_fatal(what, ": pointer array ends at ", ptr.back(),
-                    " but there are ", idx.size(), " non-zeros");
+        reject(what, "pointer array ends at ", ptr.back(), " but there are ",
+               idx.size(), " non-zeros");
     if (idx.size() != val.size())
-        menda_fatal(what, ": index/value arrays differ in length");
+        reject(what, "index/value arrays differ in length");
     for (std::size_t i = 1; i < ptr.size(); ++i) {
         if (ptr[i] < ptr[i - 1])
-            menda_fatal(what, ": pointer array not monotonic at ", i);
+            reject(what, "pointer array not monotonic at ", i);
     }
     for (std::size_t r = 0; r < major; ++r) {
         for (std::uint32_t k = ptr[r]; k < ptr[r + 1]; ++k) {
             if (idx[k] >= minor)
-                menda_fatal(what, ": index ", idx[k], " out of bounds (",
-                            minor, ") in line ", r);
+                reject(what, "index ", idx[k], " out of bounds (", minor,
+                       ") in line ", r);
             if (k > ptr[r] && idx[k] <= idx[k - 1])
-                menda_fatal(what, ": indices not strictly increasing in "
-                            "line ", r, " at offset ", k);
+                reject(what, "indices not strictly increasing in line ", r,
+                       " at offset ", k);
         }
     }
 }

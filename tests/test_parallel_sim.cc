@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "menda/job.hh"
 #include "menda/run_report.hh"
 #include "menda/system.hh"
 #include "obs/trace.hh"
@@ -52,6 +56,56 @@ expectIdenticalRun(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.rowConflicts, b.rowConflicts);
     EXPECT_EQ(a.activates, b.activates);
     EXPECT_EQ(a.busUtilization, b.busUtilization);
+}
+
+/** The raw bytes of @p v, so float outputs compare bitwise. */
+template <typename T>
+std::string
+bytesOf(const std::vector<T> &v)
+{
+    return std::string(reinterpret_cast<const char *>(v.data()),
+                       v.size() * sizeof(T));
+}
+
+/** What a finished KernelJob produced: output bytes and report bytes. */
+struct JobOutcome
+{
+    std::string output;
+    std::string report;
+};
+
+JobOutcome
+outcomeOf(KernelJob &job)
+{
+    JobOutcome out;
+    const auto report = [&](const RunResult &result) {
+        return makeRunReport("contract", kernelName(job.kind()),
+                             job.config(), result, job.nnz(), 0.0)
+            .toJson();
+    };
+    switch (job.kind()) {
+      case Kernel::Transpose: {
+        const TransposeResult r = job.takeTranspose();
+        out.output = bytesOf(r.csc.ptr) + bytesOf(r.csc.idx) +
+                     bytesOf(r.csc.val);
+        out.report = report(r);
+        break;
+      }
+      case Kernel::Spmv: {
+        const SpmvResult r = job.takeSpmv();
+        out.output = bytesOf(r.y);
+        out.report = report(r);
+        break;
+      }
+      case Kernel::Spgemm: {
+        const SpgemmResult r = job.takeSpgemm();
+        out.output =
+            bytesOf(r.c.ptr) + bytesOf(r.c.idx) + bytesOf(r.c.val);
+        out.report = report(r);
+        break;
+      }
+    }
+    return out;
 }
 
 } // namespace
@@ -253,4 +307,83 @@ TEST(ParallelSim, AutoThreadCountWorks)
     TransposeResult r_auto = automatic.transpose(a);
     expectIdenticalRun(r_seq, r_auto);
     EXPECT_EQ(r_seq.csc, r_auto.csc);
+}
+
+TEST(KernelJobContract, SteppedMatchesBatchInEveryTier)
+{
+    // The KernelJob contract every caller relies on: a job stepped in
+    // small slices, on any host thread count, ends with the same output
+    // and run-report bytes as a batch run; step() reports completion
+    // exactly once; and a fast-tier job holds its machine for exactly
+    // the slices that cover its estimated puCycles.
+    constexpr Cycle kSlice = 97;
+    const sparse::CsrMatrix a =
+        sparse::generateRmat(256, 2500, 0.1, 0.2, 0.3, 91);
+    const sparse::CsrMatrix b =
+        sparse::generateRmat(256, 800, 0.1, 0.2, 0.3, 93);
+    std::vector<Value> x(a.cols);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<Value>((i % 13) - 6) / 8.0f;
+
+    for (const SimMode mode :
+         {SimMode::Detailed, SimMode::Functional, SimMode::Sampled}) {
+        for (const Kernel kernel : kKernels) {
+            SCOPED_TRACE(std::string(simModeName(mode)) + " " +
+                         kernelName(kernel));
+            const auto makeJob = [&](unsigned threads) {
+                SystemConfig config = smallSystem(4, 16, threads);
+                config.simMode = mode;
+                config.sampled.windowCycles = 512;
+                config.sampled.periodCycles = 4096;
+                config.sampled.warmupCycles = 128;
+                KernelPlan plan;
+                switch (kernel) {
+                  case Kernel::Transpose:
+                    plan = planTranspose(a, config);
+                    break;
+                  case Kernel::Spmv:
+                    plan = planSpmv(a, config);
+                    break;
+                  case Kernel::Spgemm:
+                    plan = planSpgemm(a, b, config);
+                    break;
+                }
+                return std::make_unique<KernelJob>(
+                    config, plan,
+                    kernel == Kernel::Spmv ? x : std::vector<Value>{});
+            };
+
+            const std::unique_ptr<KernelJob> batch = makeJob(1);
+            batch->runToCompletion();
+            ASSERT_TRUE(batch->done());
+            const Cycle pu_cycles = batch->puCycles();
+            const JobOutcome expected = outcomeOf(*batch);
+
+            for (const unsigned threads : {1u, 3u}) {
+                SCOPED_TRACE("threads " + std::to_string(threads));
+                const std::unique_ptr<KernelJob> job = makeJob(threads);
+                EXPECT_FALSE(job->step(0)) << "a zero slice is a no-op";
+                unsigned steps = 0, finishes = 0;
+                while (!job->done()) {
+                    const bool finished = job->step(kSlice);
+                    ++steps;
+                    EXPECT_EQ(finished, job->done()) << "step " << steps;
+                    finishes += finished;
+                    ASSERT_LT(steps, 1u << 20) << "job never finished";
+                }
+                EXPECT_FALSE(job->step(kSlice)) << "done jobs stay done";
+                EXPECT_EQ(finishes, 1u);
+                EXPECT_EQ(job->puCycles(), pu_cycles);
+                if (mode != SimMode::Detailed) {
+                    const Cycle slices = (pu_cycles + kSlice - 1) / kSlice;
+                    EXPECT_EQ(steps, std::max<Cycle>(1, slices));
+                }
+
+                const JobOutcome got = outcomeOf(*job);
+                EXPECT_TRUE(got.output == expected.output)
+                    << "stepped output differs from the batch run";
+                EXPECT_EQ(got.report, expected.report);
+            }
+        }
+    }
 }

@@ -218,6 +218,35 @@ TEST(Admission, MalformedRequestsGetTypedErrors)
                   "badRequest")
             << "afterSeq " << seq;
 
+    // Matrices must be canonical CSR: a row's columns out of order (this
+    // probe once came back as a wrong CSC marked done), a duplicate
+    // column, or an index that is not a 32-bit unsigned integer.
+    const auto submitCsr = [&](const char *ptr, const char *idx,
+                               const char *val) {
+        return core.handle(json::parse(
+            std::string("{\"type\":\"submit\",\"kernel\":\"transpose\","
+                        "\"a\":{\"rows\":2,\"cols\":4,\"ptr\":") +
+            ptr + ",\"idx\":" + idx + ",\"val\":" + val + "}}"));
+    };
+    const json::Value unsorted = submitCsr("[0,2,3]", "[3,1,2]", "[1,2,3]");
+    EXPECT_EQ(errorCode(unsorted), "badRequest") << "unsorted row";
+    EXPECT_NE(unsorted.at("message").asString().find("line 0 at offset 1"),
+              std::string::npos)
+        << unsorted.serialize();
+    EXPECT_EQ(errorCode(submitCsr("[0,2,3]", "[1,1,2]", "[1,2,3]")),
+              "badRequest")
+        << "duplicate index";
+    EXPECT_EQ(errorCode(submitCsr("[0,2,3]", "[-1,1,2]", "[1,2,3]")),
+              "badRequest")
+        << "negative index";
+    EXPECT_EQ(errorCode(submitCsr("[0,1.5,3]", "[1,3,2]", "[1,2,3]")),
+              "badRequest")
+        << "fractional ptr";
+    EXPECT_EQ(errorCode(submitCsr("[0,2,3]", "[1,4294967296,2]",
+                                  "[1,2,3]")),
+              "badRequest")
+        << "index above UINT32_MAX";
+
     EXPECT_TRUE(core.idle()); // nothing was admitted
 }
 
