@@ -69,7 +69,9 @@ namespace
  * Execute @p spec through an in-process ServeCore: encode the inputs as
  * a `menda.job/1` submit, pump the scheduler until the job completes,
  * and decode outputs + report from the protocol response — the same
- * code path a daemon client exercises, minus the socket.
+ * code path a daemon client exercises, minus the socket. Request and
+ * response both pass through their wire text, so every input and
+ * output number is formatted and parsed as on a socket.
  */
 CaseOutcome
 runServed(const CaseSpec &spec)
@@ -86,7 +88,8 @@ runServed(const CaseSpec &spec)
             serve::valueVectorToJson(spec.spmvInput(a.cols));
     else if (spec.kernel == core::Kernel::Spgemm)
         request_fields["b"] = serve::csrToJson(buildMatrix(spec.b));
-    const obs::json::Value request(std::move(request_fields));
+    const obs::json::Value request = obs::json::parse(
+        obs::json::Value(std::move(request_fields)).serialize());
 
     struct ServedRun
     {
@@ -114,8 +117,8 @@ runServed(const CaseSpec &spec)
         const auto id =
             static_cast<std::uint64_t>(submitted.at("id").asNumber());
         core.runUntilIdle();
-        return {core.jobResponse(id), core.journalJsonl(),
-                core.jobTraceJson()};
+        return {obs::json::parse(core.jobResponse(id).serialize()),
+                core.journalJsonl(), core.jobTraceJson()};
     };
 
     // Run twice at different host thread counts: outputs AND the

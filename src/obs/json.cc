@@ -1,10 +1,13 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace menda::obs::json
 {
@@ -109,6 +112,12 @@ struct Parser
         }
     }
 
+    /**
+     * A number token is an optional '-' and the run of characters after
+     * it that a number may hold; std::from_chars must read all of it in
+     * place. So a leading '+' is malformed, and so is a magnitude that
+     * overflows a double or underflows it to zero.
+     */
     Value
     parseNumber()
     {
@@ -120,11 +129,16 @@ struct Parser
                 text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
                 text[pos] == '+' || text[pos] == '-'))
             ++pos;
-        const std::string token = text.substr(start, pos - start);
-        char *end = nullptr;
-        const double d = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size() || token.empty())
-            fail(text, start, "malformed number '" + token + "'");
+        const char *const first = text.data() + start;
+        const char *const last = text.data() + pos;
+        double d = 0.0;
+        const auto [end, ec] = std::from_chars(first, last, d);
+        if (ec != std::errc() || end != last)
+            fail(text, start,
+                 std::string(ec == std::errc::result_out_of_range
+                                 ? "number out of double range '"
+                                 : "malformed number '") +
+                     std::string(first, last) + "'");
         return Value(d);
     }
 
@@ -133,6 +147,8 @@ struct Parser
     {
         skipSpace();
         const char c = peek();
+        if (c == '-' || std::isdigit(static_cast<unsigned char>(c)))
+            return parseNumber();
         if (c == '{') {
             ++pos;
             Object obj;
@@ -183,9 +199,57 @@ struct Parser
             return Value(false);
         if (consume("null"))
             return Value();
-        return parseNumber();
+        return parseNumber(); // rejects what no value starts with
     }
 };
+
+/** Room for the longest canonical number, "-2.2250738585072014e-308". */
+constexpr std::size_t kNumberChars = 32;
+
+/**
+ * Write @p d canonically into @p buf (kNumberChars bytes) and return
+ * the end: what "%.0f" prints for an integer below 1e15, else what the
+ * shortest "%.{p}g" that reads back as @p d prints, 17 digits at most.
+ */
+char *
+writeNumber(double d, char *buf)
+{
+    char *const end = buf + kNumberChars;
+    if (!std::isfinite(d)) {
+        *buf = '0'; // JSON has no inf/nan; clamp rather than corrupt
+        return buf + 1;
+    }
+    // Integers (the common case: counters and indices) print exactly.
+    if (d == std::floor(d) && std::fabs(d) < 1e15) {
+        if (d == 0.0 && std::signbit(d))
+            *buf++ = '-'; // "%.0f" keeps the sign of -0
+        return std::to_chars(buf, end, static_cast<std::int64_t>(d)).ptr;
+    }
+    // The shortest form that reads back has P significant digits, so no
+    // "%.{p}g" with p < P does. "%.{P}g" rounds d to its nearest P-digit
+    // decimal, which can fall outside d's rounding interval where that
+    // interval is lopsided (at a power of two); then P+1 digits are
+    // tried, up to the 17 that always read back.
+    char shortest[kNumberChars];
+    const char *const shortestEnd =
+        std::to_chars(shortest, shortest + kNumberChars, d,
+                      std::chars_format::scientific)
+            .ptr;
+    int precision = 0;
+    for (const char *c = shortest; c != shortestEnd && *c != 'e'; ++c)
+        precision += std::isdigit(static_cast<unsigned char>(*c)) != 0;
+    for (;; ++precision) {
+        char *const out = std::to_chars(buf, end, d,
+                                        std::chars_format::general,
+                                        precision)
+                              .ptr;
+        double back = 0.0;
+        if (precision >= 17 ||
+            (std::from_chars(buf, out, back).ec == std::errc() &&
+             back == d))
+            return out;
+    }
+}
 
 void
 serializeInto(const Value &v, std::string &out)
@@ -197,9 +261,11 @@ serializeInto(const Value &v, std::string &out)
       case Value::Kind::Bool:
         out += v.asBool() ? "true" : "false";
         return;
-      case Value::Kind::Number:
-        out += formatNumber(v.asNumber());
+      case Value::Kind::Number: {
+        char buf[kNumberChars];
+        out.append(buf, writeNumber(v.asNumber(), buf));
         return;
+      }
       case Value::Kind::String:
         out += '"';
         out += escape(v.asString());
@@ -299,25 +365,8 @@ escape(const std::string &s)
 std::string
 formatNumber(double d)
 {
-    if (!std::isfinite(d))
-        return "0"; // JSON has no inf/nan; clamp rather than corrupt
-    // Integers (the common case: counters) print exactly; everything
-    // else uses the shortest form that round-trips a double.
-    if (d == std::floor(d) && std::fabs(d) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", d);
-        return buf;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    // Trim to the shortest representation that still round-trips.
-    for (int precision = 1; precision < 17; ++precision) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", precision, d);
-        if (std::strtod(shorter, nullptr) == d)
-            return shorter;
-    }
-    return buf;
+    char buf[kNumberChars];
+    return std::string(buf, writeNumber(d, buf));
 }
 
 } // namespace menda::obs::json

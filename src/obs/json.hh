@@ -8,6 +8,12 @@
  * std::map (sorted), strings support the common escapes. Not a general
  * purpose library — no streaming, no comments, no unicode surrogate
  * pair handling beyond pass-through of \uXXXX escapes.
+ *
+ * Numbers on the wire: an integer below 1e15 prints as "%.0f" would, any
+ * other finite double as the shortest "%.{p}g" (p <= 17) that reads back
+ * bit-exactly, and inf/nan as 0. A parsed number is an optional '-' and
+ * a decimal std::from_chars reads whole; a leading '+' and a magnitude
+ * that overflows a double or underflows it to zero are malformed.
  */
 
 #ifndef MENDA_OBS_JSON_HH

@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json.hh"
-
 namespace menda::obs
 {
 
@@ -65,8 +63,8 @@ fromJsonArray(const json::Value &value)
 
 } // namespace
 
-std::string
-RunReport::toJson() const
+json::Value
+RunReport::toValue() const
 {
     json::Object root;
     root.emplace("schema", kSchema);
@@ -103,8 +101,13 @@ RunReport::toJson() const
         series.emplace(key, std::move(s));
     }
     root.emplace("series", std::move(series));
+    return json::Value(std::move(root));
+}
 
-    return json::Value(std::move(root)).serialize() + "\n";
+std::string
+RunReport::toJson() const
+{
+    return toValue().serialize() + "\n";
 }
 
 RunReport

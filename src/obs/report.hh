@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "obs/json.hh"
 
 namespace menda::obs
 {
@@ -90,7 +91,11 @@ class RunReport
         return series_;
     }
 
-    /** Canonical JSON (byte-deterministic for identical content). */
+    /** The report as a JSON tree (what toJson() serializes). */
+    json::Value toValue() const;
+
+    /** Canonical JSON (byte-deterministic for identical content):
+     *  toValue() serialized, plus a trailing newline. */
     std::string toJson() const;
 
     /**

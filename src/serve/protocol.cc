@@ -29,23 +29,36 @@ numberArray(const std::vector<T> &v)
     return obs::json::Value(std::move(array));
 }
 
-/** Indices (integral T) must be exact integers that fit T. */
+/**
+ * The @p name array of @p v. Indices (integral T) must be exact integers
+ * that fit T; float values must lie within the float range, so the
+ * narrowing cast is exact or rounds, never overflows to infinity.
+ */
 template <typename T>
 std::vector<T>
-numbersFrom(const obs::json::Value &v, const char *what)
+numbersFrom(const obs::json::Value &v, const char *name)
 {
-    expect(v.isArray(), what);
+    const std::string bad = std::string("bad ") + name + " array";
+    expect(v.isArray(), bad.c_str());
     std::vector<T> out;
     out.reserve(v.asArray().size());
     for (const obs::json::Value &x : v.asArray()) {
         if constexpr (std::is_integral_v<T>) {
             const std::optional<std::uint64_t> n =
                 integerIn(x, 0, std::numeric_limits<T>::max());
-            expect(n.has_value(), what);
+            expect(n.has_value(), bad.c_str());
             out.push_back(static_cast<T>(*n));
         } else {
-            expect(x.isNumber(), what);
-            out.push_back(static_cast<T>(x.asNumber()));
+            expect(x.isNumber(), bad.c_str());
+            const double d = x.asNumber();
+            if constexpr (std::is_same_v<T, float>)
+                if (std::fabs(d) > std::numeric_limits<float>::max())
+                    throw std::runtime_error(
+                        std::string("menda.job/1: ") + name +
+                        " entry at offset " + std::to_string(out.size()) +
+                        " is " + obs::json::formatNumber(d) +
+                        ", beyond the float range");
+            out.push_back(static_cast<T>(d));
         }
     }
     return out;
@@ -139,9 +152,9 @@ csrFromJson(const obs::json::Value &v)
     sparse::CsrMatrix m;
     m.rows = indexField(v, "rows");
     m.cols = indexField(v, "cols");
-    m.ptr = numbersFrom<std::uint32_t>(v.at("ptr"), "bad ptr array");
-    m.idx = numbersFrom<std::uint32_t>(v.at("idx"), "bad idx array");
-    m.val = numbersFrom<Value>(v.at("val"), "bad val array");
+    m.ptr = numbersFrom<std::uint32_t>(v.at("ptr"), "ptr");
+    m.idx = numbersFrom<std::uint32_t>(v.at("idx"), "idx");
+    m.val = numbersFrom<Value>(v.at("val"), "val");
     m.validate();
     return m;
 }
@@ -165,9 +178,9 @@ cscFromJson(const obs::json::Value &v)
     sparse::CscMatrix m;
     m.rows = indexField(v, "rows");
     m.cols = indexField(v, "cols");
-    m.ptr = numbersFrom<std::uint32_t>(v.at("ptr"), "bad ptr array");
-    m.idx = numbersFrom<std::uint32_t>(v.at("idx"), "bad idx array");
-    m.val = numbersFrom<Value>(v.at("val"), "bad val array");
+    m.ptr = numbersFrom<std::uint32_t>(v.at("ptr"), "ptr");
+    m.idx = numbersFrom<std::uint32_t>(v.at("idx"), "idx");
+    m.val = numbersFrom<Value>(v.at("val"), "val");
     m.validate();
     return m;
 }
@@ -185,7 +198,7 @@ doubleVectorToJson(const std::vector<double> &v)
 std::vector<double>
 doubleVectorFromJson(const obs::json::Value &v)
 {
-    return numbersFrom<double>(v, "bad double vector");
+    return numbersFrom<double>(v, "y");
 }
 
 obs::json::Value
@@ -197,7 +210,7 @@ valueVectorToJson(const std::vector<Value> &v)
 std::vector<Value>
 valueVectorFromJson(const obs::json::Value &v)
 {
-    return numbersFrom<Value>(v, "bad value vector");
+    return numbersFrom<Value>(v, "x");
 }
 
 obs::json::Value

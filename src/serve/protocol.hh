@@ -90,16 +90,18 @@ std::optional<std::uint64_t> integerIn(const obs::json::Value &v,
                                        std::uint64_t lo, std::uint64_t hi);
 
 // --- JSON codecs (throw std::runtime_error on malformed input; a
-// decoded matrix is canonical: sorted, duplicate-free, in range) ---
+// decoded matrix is canonical: sorted, duplicate-free, in range; a
+// matrix value or an SpMV x entry beyond the float range is rejected,
+// naming its array and offset) ---
 
 obs::json::Value csrToJson(const sparse::CsrMatrix &m);
 sparse::CsrMatrix csrFromJson(const obs::json::Value &v);
 obs::json::Value cscToJson(const sparse::CscMatrix &m);
 sparse::CscMatrix cscFromJson(const obs::json::Value &v);
 obs::json::Value doubleVectorToJson(const std::vector<double> &v);
-std::vector<double> doubleVectorFromJson(const obs::json::Value &v);
+std::vector<double> doubleVectorFromJson(const obs::json::Value &v); ///< y
 obs::json::Value valueVectorToJson(const std::vector<Value> &v);
-std::vector<Value> valueVectorFromJson(const obs::json::Value &v);
+std::vector<Value> valueVectorFromJson(const obs::json::Value &v); ///< x
 
 /** Build a typed error response (code e.g. "queueFull", "badRequest"). */
 obs::json::Value errorResponse(const std::string &code,

@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 
 #include "common/log.hh"
 #include "menda/run_report.hh"
@@ -57,6 +58,18 @@ latencySummary(const std::vector<std::uint64_t> &samples)
     o["p95"] = json::Value(percentile(samples, 95.0));
     o["p99"] = json::Value(percentile(samples, 99.0));
     return json::Value(std::move(o));
+}
+
+/** Throw naming the first non-finite entry of output array @p name. */
+template <typename T>
+void
+requireFinite(const std::vector<T> &values, const char *name)
+{
+    for (std::size_t i = 0; i < values.size(); ++i)
+        if (!std::isfinite(values[i]))
+            throw std::runtime_error(
+                std::string("output ") + name + " holds a non-finite " +
+                "value at offset " + std::to_string(i));
 }
 
 } // namespace
@@ -430,7 +443,7 @@ ServeCore::dispatch(Job &job)
 void
 ServeCore::complete(Job &job)
 {
-    job.result = buildResult(job);
+    keepResult(job);
     TenantStats &t = tenants_[job.tenant];
     ++t.completed;
     const std::uint64_t wait = job.startCycle - job.submitCycle;
@@ -460,53 +473,49 @@ ServeCore::finishJob(Job &job, JobState state)
         observer_->jobFinished(job.id, jobStateName(state),
                                job.preemptions, job.doneCycle);
     job.kernel.reset(); // release the simulated components immediately
+    // ...and the plan, which the residency cache may still hold; the
+    // variant's index goes on naming the kernel.
+    std::visit([](auto &plan) { plan.reset(); }, job.plan);
     scheduler_.finished(job.id);
     order_.erase(std::remove(order_.begin(), order_.end(), job.id),
                  order_.end());
     finished_.push_back(job.id);
 }
 
-json::Value
-ServeCore::buildResult(Job &job)
+void
+ServeCore::keepResult(Job &job)
 {
     const core::Kernel kind = job.kernel->kind();
-    json::Object o;
-    o["kernel"] = json::Value(core::kernelName(kind));
-    o["cacheHit"] = json::Value(job.cacheHit);
-    o["ranks"] = json::Value(std::uint64_t(job.ranks));
-    o["queueWaitCycles"] =
-        json::Value(job.startCycle - job.submitCycle);
-    o["totalCycles"] = json::Value(job.doneCycle - job.submitCycle);
-
     core::RunResult run;
     switch (kind) {
       case core::Kernel::Transpose: {
         core::TransposeResult r = job.kernel->takeTranspose();
-        o["csc"] = cscToJson(r.csc);
+        requireFinite(r.csc.val, "csc.val");
+        job.output = std::move(r.csc);
         run = std::move(r);
         break;
       }
       case core::Kernel::Spmv: {
         core::SpmvResult r = job.kernel->takeSpmv();
-        o["y"] = doubleVectorToJson(r.y);
+        requireFinite(r.y, "y");
+        job.output = std::move(r.y);
         run = std::move(r);
         break;
       }
       case core::Kernel::Spgemm: {
         core::SpgemmResult r = job.kernel->takeSpgemm();
-        o["c"] = csrToJson(r.c);
-        o["partialProducts"] = json::Value(r.partialProducts);
+        requireFinite(r.c.val, "c.val");
+        job.output = std::move(r.c);
+        job.partialProducts = r.partialProducts;
         run = std::move(r);
         break;
       }
     }
     // Report throughput against nnz(A), matching the direct-run
     // convention (KernelJob::nnz() counts A+B for SpGEMM).
-    o["report"] = json::parse(
-        core::makeRunReport("menda.serve.job", core::kernelName(kind),
-                            job.config, run, job.inputNnz)
-            .toJson());
-    return json::Value(std::move(o));
+    job.report = core::makeRunReport("menda.serve.job",
+                                     core::kernelName(kind), job.config,
+                                     run, job.inputNnz);
 }
 
 std::vector<std::uint64_t>
@@ -545,9 +554,29 @@ ServeCore::jobResponse(std::uint64_t id) const
     o["id"] = json::Value(id);
     o["state"] = json::Value(jobStateName(job.state));
     o["tenant"] = json::Value(job.tenant);
-    if (job.state == JobState::Done && job.result.isObject())
-        for (const auto &[key, value] : job.result.asObject())
-            o[key] = value;
+    if (job.state == JobState::Done) {
+        const auto kind = static_cast<core::Kernel>(job.plan.index());
+        o["kernel"] = json::Value(core::kernelName(kind));
+        o["cacheHit"] = json::Value(job.cacheHit);
+        o["ranks"] = json::Value(std::uint64_t(job.ranks));
+        o["queueWaitCycles"] =
+            json::Value(job.startCycle - job.submitCycle);
+        o["totalCycles"] = json::Value(job.doneCycle - job.submitCycle);
+        switch (kind) {
+          case core::Kernel::Transpose:
+            o["csc"] = cscToJson(std::get<sparse::CscMatrix>(job.output));
+            break;
+          case core::Kernel::Spmv:
+            o["y"] = doubleVectorToJson(
+                std::get<std::vector<double>>(job.output));
+            break;
+          case core::Kernel::Spgemm:
+            o["c"] = csrToJson(std::get<sparse::CsrMatrix>(job.output));
+            o["partialProducts"] = json::Value(job.partialProducts);
+            break;
+        }
+        o["report"] = job.report.toValue();
+    }
     if (!job.error.empty())
         o["error"] = json::Value(job.error);
     return json::Value(std::move(o));

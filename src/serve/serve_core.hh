@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/stats.hh"
@@ -171,6 +172,8 @@ class ServeCore
         bool cacheHit = false;
         std::uint64_t inputNnz = 0; ///< nnz(A): report throughput basis
 
+        /** index() is the Kernel; the pointer is dropped once the job
+         *  finishes. */
         core::KernelPlan plan;
         std::vector<Value> x; ///< SpMV input vector
 
@@ -183,8 +186,15 @@ class ServeCore
          *  round; fifo holds them until completion). */
         std::vector<unsigned> assignedRanks;
 
-        obs::json::Value result; ///< outputs + report once Done
-        std::string error;      ///< reason once Failed
+        // Once Done: the typed output, whose index is the Kernel, and
+        // the report. jobResponse() encodes them when asked, so the
+        // table keeps the outputs' bytes, not a json::Value per number.
+        std::variant<sparse::CscMatrix, std::vector<double>,
+                     sparse::CsrMatrix>
+            output;
+        std::uint64_t partialProducts = 0; ///< SpGEMM only
+        obs::RunReport report;
+        std::string error; ///< reason once Failed
     };
 
     struct TenantStats
@@ -213,9 +223,12 @@ class ServeCore
     unsigned inFlightOf(const std::string &tenant) const;
     std::size_t queuedCount() const;
     void dispatch(Job &job);      ///< Queued -> Running (build kernel)
-    void complete(Job &job);      ///< Running -> Done (build result)
+    void complete(Job &job);      ///< Running -> Done (keep result)
     void finishJob(Job &job, JobState state);
-    obs::json::Value buildResult(Job &job);
+    /** Move the finished kernel's output and report into @p job;
+     *  throws, naming the offset, if the output holds a non-finite
+     *  value (the wire cannot carry one). */
+    void keepResult(Job &job);
     /** Label this round's picked jobs with concrete rank ids. */
     void assignRanks(const std::vector<std::uint64_t> &picked);
     /** Roll SLO windows past @p now (journals each rollover). */

@@ -222,9 +222,19 @@ generateSkewedRows(Index rows, Index cols, std::uint64_t nnz, double skew,
     for (Index r = 0; r < rows && keys.size() < nnz; ++r) {
         // Geometric-ish length: most rows short, a tail of long rows.
         double u = rng.uniform();
-        std::uint64_t len = static_cast<std::uint64_t>(
-            avg * (1.0 - skew) + avg * skew * (-std::log(1.0 - u)));
-        len = std::min<std::uint64_t>(len, cols);
+        const double raw =
+            avg * (1.0 - skew) + avg * skew * (-std::log(1.0 - u));
+        // With skew > 1, raw can be negative, and casting a negative
+        // double to uint64 is undefined: x86-64 truncates to a negative
+        // int64 and wraps it (clipped to a full row below), AArch64
+        // saturates to 0. Spell out the x86-64 result so every CPU
+        // builds the same matrix: raw <= -1 is a full row, (-1, 1) is
+        // empty, anything else truncates and clips to cols.
+        std::uint64_t len = cols;
+        if (raw > -1.0 && raw < 1.0)
+            len = 0;
+        else if (raw >= 1.0 && raw < static_cast<double>(cols))
+            len = static_cast<std::uint64_t>(raw);
         for (std::uint64_t i = 0; i < len; ++i)
             keys.push_back(key(r, static_cast<Index>(rng.below(cols))));
     }

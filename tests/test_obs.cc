@@ -8,11 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "common/random.hh"
+#include "fuzz_seed.hh"
 #include "menda/run_report.hh"
 #include "menda/system.hh"
 #include "obs/journal.hh"
@@ -81,6 +91,139 @@ TEST(Json, ParseErrorsCarryPosition)
     EXPECT_THROW(json::parse("{\"a\" 1}"), std::runtime_error);
     EXPECT_THROW(json::parse("tru"), std::runtime_error);
     EXPECT_THROW(json::parse("{} trailing"), std::runtime_error);
+}
+
+TEST(Json, NumberGrammar)
+{
+    // A leading '+' and magnitudes a double cannot hold are malformed.
+    for (const char *text : {"+1", "[0,+2]", "1e400", "-1e400", "1e-400"})
+        EXPECT_THROW(json::parse(text), std::runtime_error) << text;
+    // Every other form keeps the value strtod gives it.
+    EXPECT_EQ(json::parse(".5").asNumber(), 0.5);
+    EXPECT_EQ(json::parse("5.").asNumber(), 5.0);
+    const double negativeZero = json::parse("-0").asNumber();
+    EXPECT_EQ(negativeZero, 0.0);
+    EXPECT_TRUE(std::signbit(negativeZero));
+    EXPECT_EQ(json::parse("1E+5").asNumber(), 1e5);
+    EXPECT_EQ(json::parse("-2.5e-3").asNumber(), -2.5e-3);
+    EXPECT_EQ(json::parse("5e-324").asNumber(), 5e-324); // subnormal
+    EXPECT_EQ(json::parse("1.7976931348623157e308").asNumber(), DBL_MAX);
+}
+
+// --- number formatting against the snprintf oracle ------------------
+
+namespace
+{
+
+/**
+ * Reference for the bytes json::formatNumber must produce: an integer
+ * below 1e15 prints as "%.0f"; anything else tries "%.{p}g" for
+ * p = 1..16 until strtod reads it back, else prints "%.17g".
+ */
+std::string
+snprintfFormat(double d)
+{
+    if (!std::isfinite(d))
+        return "0";
+    if (d == std::floor(d) && std::fabs(d) < 1e15) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.0f", d);
+        return buf;
+    }
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    for (int precision = 1; precision < 17; ++precision) {
+        char shorter[40];
+        std::snprintf(shorter, sizeof(shorter), "%.*g", precision, d);
+        if (std::strtod(shorter, nullptr) == d)
+            return shorter;
+    }
+    return buf;
+}
+
+/** "" if formatNumber(@p d) equals the oracle, else what differs. */
+std::string
+formatMismatch(double d)
+{
+    const std::string want = snprintfFormat(d);
+    const std::string got = json::formatNumber(d);
+    if (got == want)
+        return {};
+    char hex[64];
+    std::snprintf(hex, sizeof(hex), "%a", d);
+    return std::string(hex) + ": got " + got + ", want " + want;
+}
+
+} // namespace
+
+TEST(Json, FormatNumberMatchesOracleAtEdges)
+{
+    std::vector<double> edges = {
+        0.0, 1e15 - 1, 1e15, 1e16, 1e21, 1e22, 1e23, // integer limits
+        1e-5, 1e-4, 1e-3,          // where %g switches form
+        5e-324, DBL_MIN, DBL_MAX, // extremes
+        0.1, 1.0 / 3.0, 2.0 / 3.0, 0.5, 9.5, 123456.789, 6.02214076e23,
+        HUGE_VAL, NAN, // clamped to 0
+    };
+    for (const double d : std::vector<double>(edges))
+        for (const double toward : {0.0, HUGE_VAL})
+            edges.push_back(std::nextafter(d, toward));
+    for (int e = -1074; e <= 1023; ++e) // the lopsided rounding intervals
+        edges.push_back(std::ldexp(1.0, e));
+    for (const double d : std::vector<double>(edges))
+        edges.push_back(-d);
+    for (const double d : edges)
+        EXPECT_EQ(formatMismatch(d), "");
+}
+
+TEST(Json, FormatNumberMatchesOracleOnGeneratorFloats)
+{
+    // Matrix values are floats widened to double: nearly all of them
+    // need 17 digits.
+    const std::uint64_t base = testutil::fuzzSeedBase(0xf10a7000u);
+    SCOPED_TRACE(testutil::reproCommand(base, "test_obs"));
+    Rng rng(base);
+    for (int i = 0; i < (1 << 16); ++i) {
+        const std::string why = formatMismatch(rng.value());
+        ASSERT_EQ(why, "") << "value " << i;
+    }
+}
+
+TEST(Json, FormatNumberMatchesOracleOnRandomBitPatterns)
+{
+    // 2^20 finite doubles in 16 seeded shards. The oracle costs tens of
+    // microseconds a value, so the shards run on a few threads; which
+    // values are checked does not depend on the thread count.
+    const std::uint64_t base = testutil::fuzzSeedBase(0xb175000u);
+    SCOPED_TRACE(testutil::reproCommand(base, "test_obs"));
+    constexpr unsigned kShards = 16;
+    constexpr std::size_t kPerShard = std::size_t(1) << 16;
+    std::vector<std::string> mismatch(kShards);
+    std::atomic<unsigned> nextShard{0};
+    const auto work = [&] {
+        for (unsigned s = nextShard++; s < kShards; s = nextShard++) {
+            Rng rng(base + s);
+            for (std::size_t n = 0; n < kPerShard && mismatch[s].empty();) {
+                const std::uint64_t bits = rng.next();
+                double d = 0.0;
+                std::memcpy(&d, &bits, sizeof(d));
+                if (!std::isfinite(d))
+                    continue;
+                ++n;
+                mismatch[s] = formatMismatch(d);
+            }
+        }
+    };
+    const unsigned threads =
+        std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+    std::vector<std::thread> pool;
+    for (unsigned t = 1; t < threads; ++t)
+        pool.emplace_back(work);
+    work();
+    for (std::thread &t : pool)
+        t.join();
+    for (unsigned s = 0; s < kShards; ++s)
+        EXPECT_EQ(mismatch[s], "") << "shard " << s;
 }
 
 // --- event tracing --------------------------------------------------

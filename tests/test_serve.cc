@@ -14,12 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/spgemm_cpu.hh"
+#include "common/random.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "serve/protocol.hh"
@@ -164,11 +169,71 @@ TEST(FrameReader, OversizedFramePoisonsStream)
     EXPECT_EQ(reader.next(&payload, &error), FrameReader::Status::Error);
 }
 
+/** Floats the codecs must carry bit-exactly through text. */
+const std::vector<Value> kEdgeValues = {
+    -0.0f, 1e-40f /* subnormal */, FLT_MAX, 1e-45f, -FLT_MAX, 0.1f, -1.5f,
+};
+
+/** Bitwise equality: tells -0 from 0 and compares every payload bit. */
+template <typename T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                    std::uint64_t>;
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](T x, T y) {
+                          return std::bit_cast<Bits>(x) ==
+                                 std::bit_cast<Bits>(y);
+                      });
+}
+
+/** @p encoded through its wire text and back. */
+json::Value
+throughText(const json::Value &encoded)
+{
+    return json::parse(encoded.serialize());
+}
+
 TEST(Protocol, CsrRoundTripIsExact)
 {
-    const sparse::CsrMatrix a = sparse::generateUniform(17, 23, 91, 7);
-    const sparse::CsrMatrix back = serve::csrFromJson(serve::csrToJson(a));
+    sparse::CsrMatrix a = sparse::generateUniform(17, 23, 91, 7);
+    std::copy(kEdgeValues.begin(), kEdgeValues.end(), a.val.begin());
+    const sparse::CsrMatrix back =
+        serve::csrFromJson(throughText(serve::csrToJson(a)));
     EXPECT_TRUE(a == back);
+    EXPECT_TRUE(sameBits(a.val, back.val));
+}
+
+TEST(Protocol, CscRoundTripIsExact)
+{
+    sparse::CsrMatrix a = sparse::generateUniform(23, 17, 91, 8);
+    std::copy(kEdgeValues.begin(), kEdgeValues.end(), a.val.begin());
+    const sparse::CscMatrix csc = sparse::transposeReference(a);
+    const sparse::CscMatrix back =
+        serve::cscFromJson(throughText(serve::cscToJson(csc)));
+    EXPECT_TRUE(csc == back);
+    EXPECT_TRUE(sameBits(csc.val, back.val));
+}
+
+TEST(Protocol, VectorRoundTripsAreExact)
+{
+    std::vector<Value> x = kEdgeValues;
+    std::vector<double> y = {-0.0, 5e-324, DBL_MIN, DBL_MAX, -DBL_MAX,
+                             0.1,  1.0 / 3.0, 1e15, 1e21};
+    Rng rng(9);
+    for (int i = 0; i < 1000; ++i) {
+        x.push_back(rng.value());
+        y.push_back(static_cast<double>(rng.value()) * rng.uniform());
+    }
+    for (const Value v : kEdgeValues)
+        y.push_back(v);
+    EXPECT_TRUE(sameBits(
+        x, serve::valueVectorFromJson(
+               throughText(serve::valueVectorToJson(x)))));
+    EXPECT_TRUE(sameBits(
+        y, serve::doubleVectorFromJson(
+               throughText(serve::doubleVectorToJson(y)))));
 }
 
 // --- admission control -------------------------------------------------
@@ -246,6 +311,22 @@ TEST(Admission, MalformedRequestsGetTypedErrors)
                                   "[1,2,3]")),
               "badRequest")
         << "index above UINT32_MAX";
+
+    // A value beyond the float range has no float to narrow to (the
+    // reply would print the resulting inf as 0): rejected, naming the
+    // array and the offset. FLT_MAX itself round-trips (Protocol.*).
+    const json::Value hugeVal = submitCsr("[0,2,3]", "[1,3,2]", "[1,1e39,3]");
+    EXPECT_EQ(errorCode(hugeVal), "badRequest") << "val beyond FLT_MAX";
+    EXPECT_NE(hugeVal.at("message").asString().find("val entry at offset 1"),
+              std::string::npos)
+        << hugeVal.serialize();
+    const json::Value hugeX = core.handle(withField(
+        submitRequest("spmv", sparse::generateUniform(8, 8, 16, 1)), "x",
+        json::parse("[1,1,-1e39,1,1,1,1,1]")));
+    EXPECT_EQ(errorCode(hugeX), "badRequest") << "x beyond -FLT_MAX";
+    EXPECT_NE(hugeX.at("message").asString().find("x entry at offset 2"),
+              std::string::npos)
+        << hugeX.serialize();
 
     EXPECT_TRUE(core.idle()); // nothing was admitted
 }
@@ -427,6 +508,32 @@ TEST(Jobs, FastTiersHoldRanksForTheirEstimatedCycles)
                       static_cast<double>(held));
         }
     }
+}
+
+TEST(Jobs, NonFiniteOutputFailsTheJob)
+{
+    // SpGEMM multiplies in float, so finite inputs can overflow: 1e30 *
+    // 1e30 is inf, which the wire cannot carry (it would print 0). The
+    // job ends failed, naming the offset, and answers no output.
+    ServeCore core(smallConfig(1));
+    const std::string m =
+        "{\"rows\":1,\"cols\":1,\"ptr\":[0,1],\"idx\":[0],\"val\":[1e30]}";
+    const std::uint64_t id = submittedId(core.handle(json::parse(
+        "{\"type\":\"submit\",\"kernel\":\"spgemm\",\"a\":" + m +
+        ",\"b\":" + m + "}")));
+    core.runUntilIdle();
+
+    const json::Value r = core.jobResponse(id);
+    EXPECT_EQ(r.at("state").asString(), "failed");
+    EXPECT_FALSE(r.has("c"));
+    EXPECT_FALSE(r.has("report"));
+    EXPECT_NE(r.at("error").asString().find("c.val"), std::string::npos)
+        << r.serialize();
+    EXPECT_NE(r.at("error").asString().find("offset 0"), std::string::npos)
+        << r.serialize();
+    const json::Value stats = core.handle(json::parse("{\"type\":\"stats\"}"));
+    EXPECT_EQ(stats.at("jobs").at("failed").asNumber(), 1.0);
+    EXPECT_EQ(stats.at("jobs").at("completed").asNumber(), 0.0);
 }
 
 // --- scheduling --------------------------------------------------------
