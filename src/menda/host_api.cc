@@ -69,6 +69,7 @@ Context::Context(const core::SystemConfig &config)
 MatrixHandle
 Context::allocSparseMatrix(const sparse::CsrMatrix &a)
 {
+    a.validate();
     MatrixHandle handle;
     handle.csr_ = &a;
     handle.slices_ = sparse::partitionByNnz(a, ranks());

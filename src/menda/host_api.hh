@@ -136,6 +136,9 @@ class Context
     /**
      * NMP-aware allocation: NNZ-balanced partitioning plus page-colored
      * placement of each slice (and its row-pointer pages) in its rank.
+     * Throws std::runtime_error, allocating nothing, unless @p a is
+     * canonical CSR (CsrMatrix::validate(): column indices in range and
+     * strictly increasing within each row).
      */
     MatrixHandle allocSparseMatrix(const sparse::CsrMatrix &a);
 

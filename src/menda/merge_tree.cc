@@ -1,55 +1,77 @@
 #include "menda/merge_tree.hh"
 
-#include <algorithm>
 #include <bit>
-
-#include "common/log.hh"
 
 namespace menda::core
 {
 
 MergeTree::MergeTree(const PuConfig &config, MergeKey key)
     : leaves_(config.leaves),
-      key_(key),
-      rootOut_(config.fifoEntries)
+      depth_(config.fifoEntries),
+      key_(key)
 {
     if (leaves_ < 2 || (leaves_ & (leaves_ - 1)) != 0)
         menda_fatal("merge tree needs a power-of-two leaf count >= 2, got ",
                     leaves_);
+    menda_assert(depth_ > 0, "FIFO capacity must be positive");
     levels_ = static_cast<unsigned>(std::countr_zero(leaves_));
-    pes_.reserve(peCount());
-    for (unsigned p = 0; p < peCount(); ++p)
-        pes_.emplace_back(config.fifoEntries);
-    scheduledEpoch_.assign(peCount(), 0);
+    lanes_.resize(2 * std::size_t(leaves_) - 1);
+    ring_.resize(lanes_.size() * depth_);
+    current_.assign((peCount() + 63) / 64, 0);
+    next_.assign(current_.size(), 0);
 #ifdef MENDA_CHECKS
     lastPeKey_.assign(peCount(), 0);
     peHasLast_.assign(peCount(), false);
 #endif
 }
 
+inline void
+MergeTree::put(unsigned lane, const Packet &packet)
+{
+    Lane &l = lanes_[lane];
+    unsigned tail = l.head + l.count;
+    if (tail >= depth_)
+        tail -= depth_;
+    ring_[lane * depth_ + tail] = packet;
+    ++l.count;
+    ++buffered_;
+}
+
+inline Packet
+MergeTree::take(unsigned lane)
+{
+    Lane &l = lanes_[lane];
+    const Packet packet = ring_[lane * depth_ + l.head];
+    if (++l.head == depth_)
+        l.head = 0;
+    --l.count;
+    --buffered_;
+    if (lane >= leaves_ - 1)
+        freedSlots_.push_back(lane - (leaves_ - 1));
+    return packet;
+}
+
 bool
 MergeTree::canPush(unsigned slot) const
 {
     menda_assert(slot < streamSlots(), "bad stream slot");
-    const unsigned pe = leaves_ / 2 - 1 + slot / 2;
-    return !pes_[pe].in[slot % 2].full();
+    return !full(leaves_ - 1 + slot);
 }
 
 void
 MergeTree::push(unsigned slot, const Packet &packet)
 {
     menda_assert(canPush(slot), "push to full stream slot");
-    const unsigned pe = leaves_ / 2 - 1 + slot / 2;
-    pes_[pe].in[slot % 2].push(packet);
-    ++buffered_;
-    schedule(pe);
+    const unsigned lane = leaves_ - 1 + slot;
+    put(lane, packet);
+    schedule((lane - 1) / 2);
 }
 
 Packet
 MergeTree::pop()
 {
-    Packet packet = rootOut_.pop();
-    --buffered_;
+    menda_assert(canPop(), "pop() on an empty merge tree");
+    Packet packet = take(0);
 #ifdef MENDA_CHECKS
     if (packet.valid) {
         menda_assert(!rootHasLast_ ||
@@ -70,27 +92,7 @@ MergeTree::pop()
     return packet;
 }
 
-Fifo<Packet> &
-MergeTree::outputOf(unsigned pe, bool &is_root)
-{
-    if (pe == 0) {
-        is_root = true;
-        return rootOut_;
-    }
-    is_root = false;
-    return pes_[(pe - 1) / 2].in[(pe - 1) % 2];
-}
-
-void
-MergeTree::schedule(unsigned pe)
-{
-    if (scheduledEpoch_[pe] == epoch_ + 1)
-        return;
-    scheduledEpoch_[pe] = epoch_ + 1;
-    next_.push_back(pe);
-}
-
-void
+inline void
 MergeTree::scheduleNeighbours(unsigned pe)
 {
     schedule(pe);
@@ -104,74 +106,65 @@ MergeTree::scheduleNeighbours(unsigned pe)
         schedule(right);
 }
 
-bool
+inline bool
 MergeTree::evaluate(unsigned pe)
 {
-    Pe &node = pes_[pe];
+    const unsigned left = 2 * pe + 1;
+    Lane &in0 = lanes_[left];
+    Lane &in1 = lanes_[left + 1];
     bool changed = false;
 
     // Absorb empty-stream tokens: pure control, no data slot consumed.
-    for (int side = 0; side < 2; ++side) {
-        if (!node.terminated[side] && !node.in[side].empty() &&
-            !node.in[side].front().valid) {
-            menda_assert(node.in[side].front().eol,
-                         "invalid packet without EOL");
-            node.in[side].pop();
-            --buffered_;
-            node.terminated[side] = true;
-            noteLeafPop(pe, side);
+    for (unsigned lane = left; lane <= left + 1; ++lane) {
+        Lane &in = lanes_[lane];
+        if (!in.terminated && in.count != 0 && !peek(lane).valid) {
+            menda_assert(peek(lane).eol, "invalid packet without EOL");
+            take(lane);
+            in.terminated = true;
             changed = true;
         }
     }
 
-    bool is_root = false;
-    Fifo<Packet> &out = outputOf(pe, is_root);
-    if (out.full())
+    if (full(pe))
         return changed;
 
-    const bool have[2] = {
-        !node.terminated[0] && !node.in[0].empty(),
-        !node.terminated[1] && !node.in[1].empty(),
-    };
-
-    if (node.terminated[0] && node.terminated[1]) {
+    if (in0.terminated && in1.terminated) {
         // Both streams of this round were empty (or ended on absorbed
         // tokens): propagate a pure end-of-line and start the next round.
-        out.push(Packet::endOfLine());
-        ++buffered_;
-        node.terminated[0] = node.terminated[1] = false;
+        put(pe, Packet::endOfLine());
+        in0.terminated = in1.terminated = false;
 #ifdef MENDA_CHECKS
         peHasLast_[pe] = false;
 #endif
         return true;
     }
 
+    const bool have0 = !in0.terminated && in0.count != 0;
+    const bool have1 = !in1.terminated && in1.count != 0;
+
     // A PE only pops when each side has either supplied a packet or
     // finished its stream — otherwise a smaller index might still arrive.
-    if ((!have[0] && !node.terminated[0]) ||
-        (!have[1] && !node.terminated[1]))
+    if ((!have0 && !in0.terminated) || (!have1 && !in1.terminated))
         return changed;
 
-    int side;
-    if (have[0] && have[1]) {
+    unsigned lane;
+    if (have0 && have1) {
         // Tie pops the LEFT child: stability keeps equal merge indices in
         // leaf order, i.e. ascending secondary index.
-        side = mergeKey(node.in[0].front(), key_) <=
-                       mergeKey(node.in[1].front(), key_)
-                   ? 0
-                   : 1;
+        lane = mergeKey(peek(left), key_) <= mergeKey(peek(left + 1), key_)
+                   ? left
+                   : left + 1;
     } else {
-        side = have[0] ? 0 : 1;
+        lane = have0 ? left : left + 1;
     }
 
-    Packet packet = node.in[side].pop();
-    noteLeafPop(pe, side);
+    Packet packet = take(lane);
     if (packet.eol)
-        node.terminated[side] = true;
-    packet.eol = node.terminated[0] && node.terminated[1];
+        lanes_[lane].terminated = true;
+    packet.eol = in0.terminated && in1.terminated;
     if (packet.eol) {
         // Last element of the merged stream: round completes here.
-        node.terminated[0] = node.terminated[1] = false;
+        in0.terminated = in1.terminated = false;
     }
 #ifdef MENDA_CHECKS
     if (packet.valid) {
@@ -184,18 +177,9 @@ MergeTree::evaluate(unsigned pe)
     if (packet.eol)
         peHasLast_[pe] = false;
 #endif
-    out.push(packet);
+    put(pe, packet);
     ++peMoves_;
     return true;
-}
-
-void
-MergeTree::noteLeafPop(unsigned pe, int side)
-{
-    const unsigned first_leaf = leaves_ / 2 - 1;
-    if (pe >= first_leaf)
-        freedSlots_.push_back((pe - first_leaf) * 2 +
-                              static_cast<unsigned>(side));
 }
 
 void
@@ -203,31 +187,32 @@ MergeTree::tick()
 {
     freedSlots_.clear();
     occupancyCycles_ += buffered_;
-    if (rootOut_.empty())
+    if (!canPop())
         ++rootIdle_;
-    ++epoch_;
+    // What was scheduled since the last tick is this tick's worklist;
+    // PEs scheduled while it runs wait for the next tick. Ascending
+    // index visits parents before children: a packet advances one level
+    // per cycle.
     current_.swap(next_);
-    next_.clear();
-    // Parents before children: a packet advances one level per cycle.
-    std::sort(current_.begin(), current_.end());
-    for (unsigned pe : current_) {
-        if (evaluate(pe))
-            scheduleNeighbours(pe);
+    for (std::size_t word = 0; word < current_.size(); ++word) {
+        std::uint64_t bits = current_[word];
+        current_[word] = 0;
+        while (bits != 0) {
+            const unsigned pe = static_cast<unsigned>(
+                word * 64 + std::countr_zero(bits));
+            bits &= bits - 1;
+            if (evaluate(pe))
+                scheduleNeighbours(pe);
+        }
     }
-    current_.clear();
 }
 
 bool
 MergeTree::drained() const
 {
-    if (!rootOut_.empty())
-        return false;
-    for (const Pe &node : pes_) {
-        if (!node.in[0].empty() || !node.in[1].empty())
+    for (const Lane &lane : lanes_)
+        if (lane.count != 0 || lane.terminated)
             return false;
-        if (node.terminated[0] || node.terminated[1])
-            return false;
-    }
     return true;
 }
 

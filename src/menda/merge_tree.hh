@@ -10,12 +10,24 @@
  * bits delimit sorted streams and let consecutive rounds of merge sort
  * flow through back-to-back with no drain/refill stalls (Sec. 3.3).
  *
- * Simulation note: the model is cycle-accurate but visits a PE only on
- * cycles where one of its FIFOs changed ("active set"). Because a PE
- * moves at most one packet per cycle and its inputs/outputs only change
- * through its neighbours, a PE that stalled with unchanged FIFOs would
- * stall again — skipping it is exact, and the per-popped-element cost
- * drops from O(l) to O(log l).
+ * Storage: the FIFOs are heap-numbered lanes, each a ring of
+ * `fifoEntries` packets in one contiguous vector. Lane 0 is the root
+ * output; lane i >= 1 is the output of node i and an input of PE
+ * (i-1)/2. So PE p reads lanes 2p+1 (left) and 2p+2 (right) and writes
+ * lane p, and stream slot s is lane l-1+s.
+ *
+ * Timing (the worklist): a tick evaluates only the PEs on its
+ * worklist, in ascending index, so parents go before children and a
+ * packet climbs one level per cycle. A PE is on the worklist of a tick
+ * if, since the previous tick, a packet was pushed into one of its
+ * stream slots, the root was popped (PE 0), or on the previous tick it,
+ * its parent or one of its children changed state. This rule is part
+ * of the timing model, not a shortcut of a sweep over every PE: a PE
+ * that is not on the worklist stays put even when its parent freed its
+ * output slot earlier in the same tick, so changing who is scheduled
+ * (for example, not scheduling the child that was not popped) changes
+ * simulated cycles. It also keeps the cost per popped element at
+ * O(log l) instead of O(l).
  */
 
 #ifndef MENDA_MENDA_MERGE_TREE_HH
@@ -24,10 +36,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "menda/packet.hh"
 #include "menda/pu_config.hh"
-#include "sim/fifo.hh"
 
 namespace menda::core
 {
@@ -41,7 +53,7 @@ class MergeTree
     unsigned peCount() const { return leaves_ - 1; }
     unsigned levels() const { return levels_; }
 
-    /** Stream slots (== leaves); slot s feeds leaf PE s/2, side s%2. */
+    /** Stream slots (== leaves); slot s is lane leaves()-1+s. */
     unsigned streamSlots() const { return leaves_; }
 
     /** True if stream slot @p slot can accept a packet this cycle. */
@@ -51,15 +63,20 @@ class MergeTree
     void push(unsigned slot, const Packet &packet);
 
     /** True if the root has produced a packet that can be popped. */
-    bool canPop() const { return !rootOut_.empty(); }
+    bool canPop() const { return lanes_[0].count != 0; }
 
     /** Peek the root output. */
-    const Packet &front() const { return rootOut_.front(); }
+    const Packet &
+    front() const
+    {
+        menda_assert(canPop(), "front() on an empty merge tree");
+        return peek(0);
+    }
 
     /** Pop the root output (output buffer side). */
     Packet pop();
 
-    /** Advance every active PE by one cycle. */
+    /** Advance every PE on the worklist by one cycle. */
     void tick();
 
     /**
@@ -83,9 +100,10 @@ class MergeTree
 
     /**
      * Sum over ticks of the packets buffered anywhere in the tree
-     * (PE FIFOs + root FIFO). Divided by the PU cycle count this gives
-     * the mean tree occupancy in packets — the utilization figure the
-     * Fig. 12 ablation bench reports next to the stall counters.
+     * (every lane, the root's included). Divided by the PU cycle count
+     * this gives the mean tree occupancy in packets — the utilization
+     * figure the Fig. 12 ablation bench reports next to the stall
+     * counters.
      */
     std::uint64_t occupancyPacketCycles() const
     {
@@ -106,42 +124,55 @@ class MergeTree
     }
 
   private:
-    struct Pe
+    /** One FIFO: a ring of depth_ packets at ring_[index * depth_]. */
+    struct Lane
     {
-        Fifo<Packet> in[2];      ///< FIFOs from the two children
-        bool terminated[2] = {false, false}; ///< EOL seen this round
-
-        Pe(unsigned fifo_entries)
-            : in{Fifo<Packet>(fifo_entries), Fifo<Packet>(fifo_entries)}
-        {}
+        unsigned head = 0;       ///< ring position of the oldest packet
+        unsigned count = 0;      ///< packets buffered
+        bool terminated = false; ///< EOL taken this round (PE inputs)
     };
+
+    bool full(unsigned lane) const { return lanes_[lane].count == depth_; }
+
+    const Packet &
+    peek(unsigned lane) const
+    {
+        return ring_[lane * depth_ + lanes_[lane].head];
+    }
+
+    /** Append @p packet to @p lane, which must not be full. */
+    void put(unsigned lane, const Packet &packet);
+
+    /** Remove the oldest packet of non-empty @p lane; a stream slot's
+     *  lane also lists the slot in freedSlots_. */
+    Packet take(unsigned lane);
 
     /** Evaluate PE @p pe; returns true if any state changed. */
     bool evaluate(unsigned pe);
 
-    /** Output FIFO of PE @p pe: root FIFO for 0, else parent input. */
-    Fifo<Packet> &outputOf(unsigned pe, bool &is_root);
+    void
+    schedule(unsigned pe)
+    {
+        next_[pe / 64] |= std::uint64_t(1) << (pe % 64);
+    }
 
-    void schedule(unsigned pe);
     void scheduleNeighbours(unsigned pe);
-    void noteLeafPop(unsigned pe, int side);
 
     unsigned leaves_;
     unsigned levels_;
+    unsigned depth_; ///< packets per lane (PuConfig::fifoEntries)
     MergeKey key_;
 
-    std::vector<Pe> pes_;
-    Fifo<Packet> rootOut_;
+    std::vector<Lane> lanes_;  ///< 2 * leaves_ - 1 lanes, heap-numbered
+    std::vector<Packet> ring_; ///< lanes_.size() * depth_ packets
     std::vector<unsigned> freedSlots_;
 
-    // Active-set scheduling.
-    std::vector<unsigned> current_;
-    std::vector<unsigned> next_;
-    std::vector<std::uint64_t> scheduledEpoch_;
-    std::uint64_t epoch_ = 1;
+    // Worklist bitsets over PE indices: this tick's and the next one's.
+    std::vector<std::uint64_t> current_;
+    std::vector<std::uint64_t> next_;
 
     Counter rootPops_, roundsDone_, rootIdle_, peMoves_, occupancyCycles_;
-    std::uint64_t buffered_ = 0; ///< packets currently in any FIFO
+    std::uint64_t buffered_ = 0; ///< packets currently in any lane
 
 #ifdef MENDA_CHECKS
     // Invariant-checker state: the last merge key each PE (and the root

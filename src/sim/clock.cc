@@ -77,14 +77,25 @@ TickScheduler::step()
 
     // Earliest tick at which any domain must do work. A domain whose
     // components are all quiescent pushes its due time to the end of the
-    // smallest declared window instead of its next period boundary.
+    // smallest declared window instead of its next period boundary. A
+    // domain is never due before its next boundary, so one whose
+    // boundary is not earlier than the best due tick so far cannot lower
+    // it and is not asked for its window at all.
     Tick next = ~Tick(0);
     for (const auto &domain : domains_) {
         Tick due = domain->nextFire_;
+        if (due >= next)
+            continue;
         const Cycle skip = domain->skippableCycles();
         if (skip > 0) {
-            const Tick headroom = (~Tick(0) - due) / domain->period_;
-            due += std::min<Tick>(skip, headroom) * domain->period_;
+            // Saturate at the last boundary a Tick can hold; the
+            // division only runs for windows that reach that far (a
+            // component quiescent for ~Cycle(0) cycles).
+            Tick span;
+            if (__builtin_mul_overflow(skip, domain->period_, &span) ||
+                span > ~Tick(0) - due)
+                span = (~Tick(0) - due) / domain->period_ * domain->period_;
+            due += span;
         }
         next = std::min(next, due);
     }
@@ -96,29 +107,27 @@ TickScheduler::step()
     // folded into a skipped window. A domain left mid-period (no
     // coincident boundary) resyncs just past curTick_ and fires again on
     // its next boundary, exactly where the dense schedule would tick it.
+    // A domain due now or later has nothing to catch up.
     //
     // Every domain must catch up before ANY domain ticks: a ticking
     // component may call into a component of a later, still-lagging
     // domain (a PU enqueuing into its memory controller), and that callee
     // would otherwise see — and timestamp with — a stale cycle counter.
     for (auto &domain : domains_) {
-        if (domain->nextFire_ > curTick_)
+        if (domain->nextFire_ >= curTick_)
             continue;
         const Tick behind = curTick_ - domain->nextFire_;
-        const bool fires = behind % domain->period_ == 0;
         Cycle lag = behind / domain->period_;
-        if (!fires)
+        if (behind % domain->period_ != 0)
             ++lag;
-        if (lag > 0) {
-            for (Ticked *component : domain->components_)
-                component->skipCycles(lag);
-            if (trace_)
-                trace_->span(domain->traceTrack_, domain->traceName_,
-                             domain->cycle_, domain->cycle_ + lag);
-            domain->cycle_ += lag;
-            domain->nextFire_ += lag * domain->period_;
-            cyclesSkipped_ += lag;
-        }
+        for (Ticked *component : domain->components_)
+            component->skipCycles(lag);
+        if (trace_)
+            trace_->span(domain->traceTrack_, domain->traceName_,
+                         domain->cycle_, domain->cycle_ + lag);
+        domain->cycle_ += lag;
+        domain->nextFire_ += lag * domain->period_;
+        cyclesSkipped_ += lag;
     }
     for (auto &domain : domains_) {
         if (domain->nextFire_ != curTick_)

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cfloat>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/log.hh"
@@ -30,6 +33,7 @@ readMatrixMarket(std::istream &in)
     std::string line;
     if (!std::getline(in, line))
         menda_fatal("MatrixMarket: empty input");
+    std::uint64_t line_no = 1;
 
     std::istringstream header(line);
     std::string banner, object, format, field, symmetry;
@@ -51,6 +55,7 @@ readMatrixMarket(std::istream &in)
 
     // Skip comments.
     while (std::getline(in, line)) {
+        ++line_no;
         if (!line.empty() && line[0] != '%')
             break;
     }
@@ -70,6 +75,7 @@ readMatrixMarket(std::istream &in)
         if (!std::getline(in, line))
             menda_fatal("MatrixMarket: expected ", entries,
                         " entries, got ", i);
+        ++line_no;
         std::istringstream entry(line);
         std::uint64_t r = 0, c = 0;
         double v = 1.0;
@@ -78,6 +84,9 @@ readMatrixMarket(std::istream &in)
             entry >> v;
         if (!entry || r == 0 || c == 0 || r > rows || c > cols)
             menda_fatal("MatrixMarket: bad entry '", line, "'");
+        if (!(std::fabs(v) <= FLT_MAX))
+            menda_fatal("MatrixMarket: line ", line_no, ": value ", v,
+                        " is beyond the float range");
         coo.row.push_back(static_cast<Index>(r - 1));
         coo.col.push_back(static_cast<Index>(c - 1));
         coo.val.push_back(static_cast<Value>(v));
@@ -87,7 +96,15 @@ readMatrixMarket(std::istream &in)
             coo.val.push_back(static_cast<Value>(v));
         }
     }
-    return cooToCsr(std::move(coo));
+    CsrMatrix a = cooToCsr(std::move(coo));
+    try {
+        a.validate();
+    } catch (const std::runtime_error &err) {
+        // Entries are range-checked above and cooToCsr sorts every row,
+        // so only a coordinate given twice gets here.
+        menda_fatal("MatrixMarket: repeated coordinate: ", err.what());
+    }
+    return a;
 }
 
 CsrMatrix

@@ -17,7 +17,11 @@
 namespace menda::sparse
 {
 
-/** Parse a Matrix Market stream into CSR. menda_fatal on malformed input. */
+/**
+ * Parse a Matrix Market stream into canonical CSR. menda_fatal on
+ * malformed input, on a coordinate given twice (after symmetric
+ * mirroring) and on a value beyond the float range (naming its line).
+ */
 CsrMatrix readMatrixMarket(std::istream &in);
 
 /** Load a .mtx file from disk. */

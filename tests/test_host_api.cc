@@ -54,6 +54,32 @@ TEST(HostApi, TransposeFollowsTheFig8Protocol)
     EXPECT_EQ(ctx.result(g).ptr, sparse::transposeReference(a).ptr);
 }
 
+TEST(HostApi, AllocRejectsNonCanonicalCsr)
+{
+    // Row 0 lists columns {3, 1}: out of order. The host API used to
+    // transpose it to idx [1,0,0], val [3,1,2]; the reference is
+    // idx [0,1,0], val [2,3,1].
+    sparse::CsrMatrix a;
+    a.rows = 2;
+    a.cols = 4;
+    a.ptr = {0, 2, 3};
+    a.idx = {3, 1, 2};
+    a.val = {1.0f, 2.0f, 3.0f};
+    nmp::Context ctx(apiConfig());
+    EXPECT_THROW(ctx.allocSparseMatrix(a), std::runtime_error);
+
+    a.idx = {1, 1, 2}; // a repeated column is not canonical either
+    EXPECT_THROW(ctx.allocSparseMatrix(a), std::runtime_error);
+
+    a.idx = {1, 3, 2};
+    a.val = {2.0f, 1.0f, 3.0f};
+    nmp::MatrixHandle g = ctx.allocSparseMatrix(a);
+    ctx.transpose(g);
+    ctx.wait();
+    EXPECT_EQ(ctx.result(g).idx, (std::vector<Index>{0, 1, 0}));
+    EXPECT_EQ(ctx.result(g).val, (std::vector<Value>{2.0f, 3.0f, 1.0f}));
+}
+
 TEST(HostApi, GetAddrExposesPartitionedCsc)
 {
     sparse::CsrMatrix a = sparse::generateUniform(256, 256, 3000, 73);

@@ -2,16 +2,20 @@
  * @file
  * Unit tests for the hardware merge tree: sortedness, stability,
  * end-of-line propagation, seamless back-to-back rounds, and FIFO
- * back-pressure, across tree sizes (parameterized).
+ * back-pressure, across tree sizes (parameterized); and the cycle-exact
+ * comparison against the reference tree (reference_merge_tree.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/random.hh"
+#include "fuzz_seed.hh"
 #include "menda/merge_tree.hh"
+#include "reference_merge_tree.hh"
 
 using namespace menda;
 using namespace menda::core;
@@ -323,3 +327,169 @@ TEST_P(MergeTreeFuzz, RandomStallsNeverCorruptTheMerge)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeTreeFuzz, ::testing::Range(0u, 8u));
+
+namespace
+{
+
+bool
+samePacket(const Packet &a, const Packet &b)
+{
+    return a.row == b.row && a.col == b.col && a.valid == b.valid &&
+           a.eol == b.eol && std::memcmp(&a.val, &b.val, sizeof a.val) == 0;
+}
+
+/** A data packet whose @p key-merge index is @p index. */
+Packet
+keyedPacket(MergeKey key, std::uint64_t index, unsigned slot, float val,
+            bool eol)
+{
+    const auto i = static_cast<Index>(index);
+    switch (key) {
+    case MergeKey::Column:
+        return Packet::data(slot, i, val, eol);
+    case MergeKey::Row:
+        return Packet::data(i, slot, val, eol);
+    case MergeKey::RowCol:
+    default:
+        return Packet::data(i / 4, i % 4, val, eol);
+    }
+}
+
+class MergeTreeOracle : public ::testing::TestWithParam<unsigned>
+{
+};
+
+} // namespace
+
+TEST_P(MergeTreeOracle, MatchesReferenceMoveForMove)
+{
+    // The lane tree against the Fifo tree it replaced: the same seeded
+    // pushes, pops and stalls into both, and after every tick the same
+    // visible state and counters. Covers every FIFO depth 2-4 and merge
+    // key, back-to-back rounds, empty-stream tokens, ties, and long
+    // consumer stalls that back the tree up to its leaves.
+    const unsigned leaves = GetParam();
+    const std::uint64_t base = testutil::fuzzSeedBase(0x7ee0);
+    SCOPED_TRACE(testutil::reproCommand(base, "test_merge_tree"));
+    for (unsigned depth = 2; depth <= 4; ++depth) {
+        for (MergeKey key :
+             {MergeKey::Column, MergeKey::Row, MergeKey::RowCol}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "leaves " << leaves << " depth " << depth
+                         << " key " << static_cast<int>(key));
+            Rng rng(base * 1000003 + leaves * 16 + depth * 4 +
+                    static_cast<unsigned>(key));
+            PuConfig config;
+            config.leaves = leaves;
+            config.fifoEntries = depth;
+            MergeTree tree(config, key);
+            reference::MergeTree ref(config, key);
+            StatGroup stats("t");
+            tree.registerStats(stats);
+
+            // Per slot, the packets of all rounds back to back; an empty
+            // stream is a single end-of-line token.
+            const unsigned rounds = 3;
+            std::vector<std::vector<Packet>> feed(leaves);
+            float val = 0.0f;
+            for (unsigned s = 0; s < leaves; ++s) {
+                for (unsigned r = 0; r < rounds; ++r) {
+                    const unsigned len = rng.below(4) == 0
+                                             ? 0
+                                             : 1 + rng.below(6);
+                    std::uint64_t index = rng.below(8);
+                    for (unsigned i = 0; i < len; ++i) {
+                        index += rng.below(3); // 0 makes ties
+                        feed[s].push_back(keyedPacket(
+                            key, index, s, val += 1.0f, i + 1 == len));
+                    }
+                    if (len == 0)
+                        feed[s].push_back(Packet::endOfLine());
+                }
+            }
+            const unsigned push_skip = static_cast<unsigned>(rng.below(4));
+            std::vector<std::size_t> cursor(leaves, 0);
+            unsigned hold = 0; // cycles left in a consumer stall
+            std::uint64_t guard = 0;
+            while (ref.roundsCompleted() < rounds) {
+                ASSERT_LT(++guard, 1000000u) << "merge did not converge";
+                for (unsigned s = 0; s < leaves; ++s) {
+                    if (cursor[s] == feed[s].size() || !ref.canPush(s) ||
+                        rng.below(4) < push_skip)
+                        continue;
+                    tree.push(s, feed[s][cursor[s]]);
+                    ref.push(s, feed[s][cursor[s]]);
+                    ++cursor[s];
+                }
+                if (hold > 0) {
+                    --hold;
+                } else if (rng.below(32) == 0) {
+                    hold = static_cast<unsigned>(rng.below(48));
+                } else if (ref.canPop() && rng.below(4) != 0) {
+                    const Packet got = tree.pop();
+                    ASSERT_TRUE(samePacket(got, ref.pop()));
+                }
+                tree.tick();
+                ref.tick();
+
+                for (unsigned s = 0; s < leaves; ++s) {
+                    ASSERT_EQ(tree.canPush(s), ref.canPush(s))
+                        << "slot " << s << " tick " << guard;
+                }
+                ASSERT_EQ(tree.canPop(), ref.canPop()) << "tick " << guard;
+                if (ref.canPop()) {
+                    ASSERT_TRUE(samePacket(tree.front(), ref.front()))
+                        << "tick " << guard;
+                }
+                ASSERT_EQ(tree.freedSlots(), ref.freedSlots())
+                    << "tick " << guard;
+                ASSERT_EQ(tree.occupancy(), ref.occupancy());
+                ASSERT_EQ(tree.rootIdleCycles(), ref.rootIdleCycles());
+                ASSERT_EQ(tree.roundsCompleted(), ref.roundsCompleted());
+                ASSERT_EQ(stats.collect().at("t.tree.peMoves"),
+                          static_cast<double>(ref.peMoves()))
+                    << "tick " << guard;
+            }
+            EXPECT_TRUE(tree.drained());
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(TreeSizes, MergeTreeOracle,
+                         ::testing::Values(2u, 4u, 8u, 16u, 32u, 64u, 128u,
+                                           256u));
+
+TEST(Fifo, PushPopOrder)
+{
+    reference::Fifo<int> f(3);
+    EXPECT_TRUE(f.empty());
+    f.push(1);
+    f.push(2);
+    f.push(3);
+    EXPECT_TRUE(f.full());
+    EXPECT_EQ(f.pop(), 1);
+    f.push(4);
+    EXPECT_EQ(f.pop(), 2);
+    EXPECT_EQ(f.pop(), 3);
+    EXPECT_EQ(f.pop(), 4);
+    EXPECT_TRUE(f.empty());
+}
+
+TEST(Fifo, OverflowAndUnderflowAreBugs)
+{
+    reference::Fifo<int> f(1);
+    f.push(1);
+    EXPECT_THROW(f.push(2), std::runtime_error);
+    f.pop();
+    EXPECT_THROW(f.pop(), std::runtime_error);
+}
+
+TEST(Fifo, WrapsAroundManyTimes)
+{
+    reference::Fifo<int> f(2);
+    for (int i = 0; i < 1000; ++i) {
+        f.push(i);
+        ASSERT_EQ(f.front(), i);
+        ASSERT_EQ(f.pop(), i);
+    }
+}

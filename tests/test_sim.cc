@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the simulation kernel: exact multi-domain clocking and FIFO
- * semantics.
+ * Tests for the simulation kernel: exact multi-domain clocking and
+ * idle-cycle skipping.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/clock.hh"
-#include "sim/fifo.hh"
 
 using namespace menda;
 
@@ -223,37 +225,154 @@ TEST(IdleSkip, IndefinitelyQuiescentComponentIsNeverTicked)
     EXPECT_LT(done.ticks, db->curCycle() / 2);
 }
 
-TEST(Fifo, PushPopOrder)
+TEST(IdleSkip, ThreeCoprimeDomainsMatchDenseSchedule)
 {
-    Fifo<int> f(3);
-    EXPECT_TRUE(f.empty());
-    f.push(1);
-    f.push(2);
-    f.push(3);
-    EXPECT_TRUE(f.full());
-    EXPECT_EQ(f.pop(), 1);
-    f.push(4);
-    EXPECT_EQ(f.pop(), 2);
-    EXPECT_EQ(f.pop(), 3);
-    EXPECT_EQ(f.pop(), 4);
-    EXPECT_TRUE(f.empty());
-}
+    // Three co-prime domains (5, 7 and 11 MHz -> base 385 MHz), each
+    // component asleep between strided work items. Every work item must
+    // land on the same base tick and own-domain cycle in the skipping
+    // schedule as in the dense one.
+    struct Logged : StridedWorker
+    {
+        Logged(Cycle stride, bool dense, const TickScheduler &sched,
+               std::vector<std::pair<Tick, Cycle>> &log)
+            : StridedWorker(stride, dense), sched_(sched), log_(log)
+        {}
 
-TEST(Fifo, OverflowAndUnderflowAreBugs)
-{
-    Fifo<int> f(1);
-    f.push(1);
-    EXPECT_THROW(f.push(2), std::runtime_error);
-    f.pop();
-    EXPECT_THROW(f.pop(), std::runtime_error);
-}
+        void
+        tick() override
+        {
+            if (cycle % stride_ == 0)
+                log_.emplace_back(sched_.curTick(), cycle);
+            StridedWorker::tick();
+        }
 
-TEST(Fifo, WrapsAroundManyTimes)
-{
-    Fifo<int> f(2);
-    for (int i = 0; i < 1000; ++i) {
-        f.push(i);
-        ASSERT_EQ(f.front(), i);
-        ASSERT_EQ(f.pop(), i);
+        const TickScheduler &sched_;
+        std::vector<std::pair<Tick, Cycle>> &log_;
+    };
+    struct Run
+    {
+        std::vector<std::pair<Tick, Cycle>> log[3];
+        Cycle cycles[3] = {};
+        Cycle ticks = 0;
+        Tick stop = 0;
+    };
+    auto run = [](bool dense) {
+        Run out;
+        TickScheduler sched;
+        ClockDomain *domains[3] = {sched.addDomain("a", 5),
+                                   sched.addDomain("b", 7),
+                                   sched.addDomain("c", 11)};
+        Logged a(13, dense, sched, out.log[0]);
+        Logged b(29, dense, sched, out.log[1]);
+        Logged c(17, dense, sched, out.log[2]);
+        domains[0]->attach(&a);
+        domains[1]->attach(&b);
+        domains[2]->attach(&c);
+        sched.runUntil(
+            [&] { return a.work >= 40 && b.work >= 30 && c.work >= 70; });
+        const Logged *workers[3] = {&a, &b, &c};
+        for (int d = 0; d < 3; ++d) {
+            EXPECT_EQ(workers[d]->cycle, domains[d]->curCycle());
+            EXPECT_EQ(workers[d]->cycle,
+                      workers[d]->ticks + workers[d]->skipped);
+            out.cycles[d] = workers[d]->cycle;
+            out.ticks += workers[d]->ticks;
+        }
+        out.stop = sched.curTick();
+        return out;
+    };
+    const Run dense = run(true);
+    const Run skip = run(false);
+    for (int d = 0; d < 3; ++d) {
+        EXPECT_EQ(skip.log[d], dense.log[d]) << "domain " << d;
+        EXPECT_EQ(skip.cycles[d], dense.cycles[d]) << "domain " << d;
     }
+    EXPECT_EQ(skip.stop, dense.stop);
+    EXPECT_EQ(dense.ticks, dense.cycles[0] + dense.cycles[1] +
+                               dense.cycles[2]);
+    EXPECT_LT(skip.ticks, dense.ticks / 4) << "skip mode must fast-forward";
+}
+
+TEST(IdleSkip, DomainIsAskedOnlyWhenItsBoundaryIsEarlier)
+{
+    // step() asks a domain for its quiescent window only when the
+    // domain's next boundary is earlier than the best due tick found so
+    // far: a domain is never due before its boundary, so asking could
+    // not lower the next tick. Domains at 1 and 2 MHz (base periods 2
+    // and 1), both always active.
+    struct Asked : CycleCounter
+    {
+        mutable Cycle asked = 0;
+        Cycle
+        quiescentFor() const override
+        {
+            ++asked;
+            return 0;
+        }
+    };
+    {
+        // Slow domain first: it is always asked (nothing beats ~0); the
+        // fast one only on odd ticks, where its boundary comes first.
+        TickScheduler sched;
+        auto *slow = sched.addDomain("slow", 1);
+        auto *fast = sched.addDomain("fast", 2);
+        Asked s, f;
+        slow->attach(&s);
+        fast->attach(&f);
+        sched.runUntil([&] { return f.count >= 100; });
+        EXPECT_EQ(f.count, 100u);
+        EXPECT_EQ(s.count, 50u);
+        EXPECT_EQ(s.asked, 100u);
+        EXPECT_EQ(f.asked, 50u);
+    }
+    {
+        // Fast domain first: the slow domain's boundary is never earlier
+        // than the fast one's, so it is never asked, and still fires on
+        // every one of its boundaries.
+        TickScheduler sched;
+        auto *fast = sched.addDomain("fast", 2);
+        auto *slow = sched.addDomain("slow", 1);
+        Asked s, f;
+        fast->attach(&f);
+        slow->attach(&s);
+        sched.runUntil([&] { return f.count >= 100; });
+        EXPECT_EQ(f.count, 100u);
+        EXPECT_EQ(s.count, 50u);
+        EXPECT_EQ(f.asked, 100u);
+        EXPECT_EQ(s.asked, 0u);
+    }
+}
+
+TEST(IdleSkip, PermanentlyQuiescentComponentAtProductionRatio)
+{
+    // A finished PU (quiescent for ~Cycle(0) cycles) at 800 MHz beside
+    // an active 1200 MHz controller: base 2400 MHz, periods 3 and 2. The
+    // skip window overflows a Tick, so step() saturates it; the PU
+    // domain then only fires where its boundary meets a controller
+    // boundary (every 6 base ticks) and is caught up in between.
+    struct Done : Ticked
+    {
+        Cycle ticks = 0;
+        Cycle skipped = 0;
+        void tick() override { ++ticks; }
+        Cycle quiescentFor() const override { return ~Cycle(0); }
+        void skipCycles(Cycle cycles) override { skipped += cycles; }
+    };
+    TickScheduler sched;
+    auto *pu = sched.addDomain("pu", 800);
+    auto *dram = sched.addDomain("dram", 1200);
+    Done done;
+    CycleCounter active;
+    pu->attach(&done);
+    dram->attach(&active);
+    sched.runUntil([&] { return active.count >= 1200; });
+    EXPECT_EQ(active.count, 1200u);
+    EXPECT_EQ(sched.curTick(), 2398u);
+    // PU boundaries 0, 3, ..., 2397: 400 of them coincide with a
+    // controller tick (multiples of 6), the other 400 are skipped.
+    EXPECT_EQ(pu->curCycle(), 800u);
+    EXPECT_EQ(done.ticks, 400u);
+    EXPECT_EQ(done.skipped, 400u);
+    EXPECT_EQ(sched.cyclesSkipped(), 400u);
+    EXPECT_EQ(dram->curCycle(), 1200u);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <sstream>
 
 #include "sparse/format.hh"
@@ -185,6 +186,43 @@ TEST(Mmio, RejectsGarbage)
 {
     std::stringstream ss("not a matrix\n");
     EXPECT_THROW(readMatrixMarket(ss), std::runtime_error);
+}
+
+TEST(Mmio, RejectsRepeatedCoordinates)
+{
+    // cooToCsr would keep both entries, giving a row whose column
+    // indices are not strictly increasing.
+    std::stringstream general("%%MatrixMarket matrix coordinate real "
+                              "general\n2 2 3\n1 1 1.0\n2 1 5.0\n"
+                              "1 1 2.0\n");
+    EXPECT_THROW(readMatrixMarket(general), std::runtime_error);
+    // A symmetric file that also lists the upper triangle repeats each
+    // off-diagonal entry once mirrored.
+    std::stringstream mirrored("%%MatrixMarket matrix coordinate pattern "
+                               "symmetric\n2 2 2\n2 1\n1 2\n");
+    EXPECT_THROW(readMatrixMarket(mirrored), std::runtime_error);
+}
+
+TEST(Mmio, RejectsValuesBeyondTheFloatRange)
+{
+    // 1e39 used to load as inf. The error names the offending line.
+    for (const char *value : {"1e39", "-1e39"}) {
+        std::stringstream ss(std::string("%%MatrixMarket matrix coordinate "
+                                         "real general\n% comment\n"
+                                         "2 2 2\n1 1 1.0\n2 2 ") +
+                             value + "\n");
+        try {
+            readMatrixMarket(ss);
+            ADD_FAILURE() << value << " was accepted";
+        } catch (const std::runtime_error &err) {
+            EXPECT_NE(std::string(err.what()).find("line 5"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    std::stringstream ss("%%MatrixMarket matrix coordinate real general\n"
+                         "1 1 1\n1 1 -3.4028234e38\n");
+    EXPECT_EQ(readMatrixMarket(ss).val[0], -FLT_MAX);
 }
 
 TEST(Partition, BalancesNnzWithinOneRow)
