@@ -122,19 +122,16 @@ BENCHMARK(BM_DramStreamingReads);
  * Scheduler stress: both 32-entry queues held at capacity with a
  * read/write mix spread over 8 banks and 16 rows per bank, so nearly
  * every request row-conflicts and banks spend most cycles timing-blocked
- * in tRP/tRCD/tRC turnarounds — the regime where the reference scheduler
- * rescans every queue entry each cycle while the indexed one consults
+ * in tRP/tRCD/tRC turnarounds — the regime where a scan scheduler would
+ * rescan every queue entry each cycle while the indexed one consults
  * only banks whose eligibility key has arrived. Items processed =
  * simulated DRAM cycles, so the reported items/s is host-side
- * simulated-cycles-per-second. The reference (linear-scan) and indexed
- * schedulers replay bit-identical command streams, so the items/s ratio
- * is a pure scheduler-cost ratio.
+ * simulated-cycles-per-second.
  */
 void
-schedulerWorkload(benchmark::State &state, bool reference_scheduler)
+BM_DramSchedulerIndexed(benchmark::State &state)
 {
-    dram::DramConfig config = dram::DramConfig::ddr4_2400r(1);
-    config.referenceScheduler = reference_scheduler;
+    const dram::DramConfig config = dram::DramConfig::ddr4_2400r(1);
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         dram::MemoryController ctrl("sched", config, false);
@@ -182,20 +179,7 @@ schedulerWorkload(benchmark::State &state, bool reference_scheduler)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
 }
-
-void
-BM_DramSchedulerIndexed(benchmark::State &state)
-{
-    schedulerWorkload(state, false);
-}
 BENCHMARK(BM_DramSchedulerIndexed);
-
-void
-BM_DramSchedulerReference(benchmark::State &state)
-{
-    schedulerWorkload(state, true);
-}
-BENCHMARK(BM_DramSchedulerReference);
 
 void
 BM_PuTranspose(benchmark::State &state)

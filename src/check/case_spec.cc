@@ -1,8 +1,10 @@
 #include "check/case_spec.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -331,7 +333,6 @@ CaseSpec::oneLine() const
        << (stallReducingPrefetch ? "" : " -prefetch")
        << (requestCoalescing ? "" : " -coalesce")
        << (seamlessMerge ? "" : " -seamless") << " threads=" << threads
-       << (withReferenceScheduler ? " +refsched" : "")
        << (withTrace ? " +trace" : "")
        << (withFunctional ? " +functional" : "")
        << (withSampledSim ? " +sampledsim" : "")
@@ -357,13 +358,57 @@ matrixToJson(const MatrixSpec &m)
     return o;
 }
 
-MatrixSpec
-matrixFromJson(const obs::json::Value &v)
+using Kind = obs::json::Value::Kind;
+
+/** Member @p key of @p object (at @p path), which must be of @p kind. */
+const obs::json::Value &
+field(const obs::json::Value &object, const std::string &path,
+      const std::string &key, Kind kind, const std::string &expected)
 {
-    if (!v.isObject())
-        throw std::runtime_error("caseSpec: matrix is not an object");
+    const std::string name = "caseSpec: field '" + path + key + "'";
+    if (!object.has(key))
+        throw std::runtime_error(name + " is missing");
+    const obs::json::Value &v = object.at(key);
+    if (v.kind() != kind)
+        throw std::runtime_error(name + " must be " + expected);
+    return v;
+}
+
+bool
+boolField(const obs::json::Value &object, const std::string &path,
+          const std::string &key)
+{
+    return field(object, path, key, Kind::Bool, "true or false").asBool();
+}
+
+/** An integer member that @p T holds exactly (no cast can wrap). */
+template <typename T>
+T
+integerField(const obs::json::Value &object, const std::string &path,
+             const std::string &key)
+{
+    const std::string expected =
+        "an integer in [0, " +
+        std::to_string(std::numeric_limits<T>::max()) + "]";
+    const double n =
+        field(object, path, key, Kind::Number, expected).asNumber();
+    // 2^digits is exact as a double and is the first value T misses.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(n >= 0.0) || n >= limit || n != std::floor(n))
+        throw std::runtime_error("caseSpec: field '" + path + key +
+                                 "' must be " + expected);
+    return static_cast<T>(n);
+}
+
+MatrixSpec
+matrixFromJson(const obs::json::Value &parent, const std::string &key)
+{
+    const obs::json::Value &v =
+        field(parent, "", key, Kind::Object, "an object");
+    const std::string path = key + ".";
     MatrixSpec m;
-    const std::string kind = v.at("kind").asString();
+    const std::string &kind =
+        field(v, path, "kind", Kind::String, "a string").asString();
     bool found = false;
     for (unsigned k = 0;
          k <= static_cast<unsigned>(MatrixKind::DuplicateHeavy); ++k)
@@ -374,10 +419,10 @@ matrixFromJson(const obs::json::Value &v)
     if (!found)
         throw std::runtime_error("caseSpec: unknown matrix kind '" +
                                  kind + "'");
-    m.rows = static_cast<Index>(v.at("rows").asNumber());
-    m.cols = static_cast<Index>(v.at("cols").asNumber());
-    m.nnz = static_cast<std::uint64_t>(v.at("nnz").asNumber());
-    m.seed = static_cast<std::uint64_t>(v.at("seed").asNumber());
+    m.rows = integerField<Index>(v, path, "rows");
+    m.cols = integerField<Index>(v, path, "cols");
+    m.nnz = integerField<std::uint64_t>(v, path, "nnz");
+    m.seed = integerField<std::uint64_t>(v, path, "seed");
     return m;
 }
 
@@ -404,7 +449,6 @@ CaseSpec::toJson() const
     o["pu"] = pu;
     obs::json::Object engine;
     engine["threads"] = static_cast<std::uint64_t>(threads);
-    engine["referenceScheduler"] = withReferenceScheduler;
     engine["trace"] = withTrace;
     engine["samplePeriod"] = samplePeriod;
     engine["functional"] = withFunctional;
@@ -425,46 +469,44 @@ CaseSpec::fromJson(const std::string &text)
             "caseSpec: missing or mismatched schema (want " +
             std::string(kSchema) + ")");
     CaseSpec spec;
-    const std::string kernel = v.at("kernel").asString();
+    const std::string &kernel =
+        field(v, "", "kernel", Kind::String, "a string").asString();
     const std::optional<core::Kernel> parsed = core::parseKernel(kernel);
     if (!parsed)
         throw std::runtime_error("caseSpec: unknown kernel '" + kernel +
                                  "'");
     spec.kernel = *parsed;
-    spec.a = matrixFromJson(v.at("a"));
+    spec.a = matrixFromJson(v, "a");
     if (spec.kernel == core::Kernel::Spgemm)
-        spec.b = matrixFromJson(v.at("b"));
-    const obs::json::Value &pu = v.at("pu");
-    spec.pus = static_cast<unsigned>(pu.at("pus").asNumber());
-    spec.leaves = static_cast<unsigned>(pu.at("leaves").asNumber());
-    spec.fifoEntries =
-        static_cast<unsigned>(pu.at("fifoEntries").asNumber());
-    spec.prefetchBufferEntries = static_cast<unsigned>(
-        pu.at("prefetchBufferEntries").asNumber());
+        spec.b = matrixFromJson(v, "b");
+    const obs::json::Value &pu =
+        field(v, "", "pu", Kind::Object, "an object");
+    spec.pus = integerField<unsigned>(pu, "pu.", "pus");
+    spec.leaves = integerField<unsigned>(pu, "pu.", "leaves");
+    spec.fifoEntries = integerField<unsigned>(pu, "pu.", "fifoEntries");
+    spec.prefetchBufferEntries =
+        integerField<unsigned>(pu, "pu.", "prefetchBufferEntries");
     spec.stallReducingPrefetch =
-        pu.at("stallReducingPrefetch").asBool();
-    spec.requestCoalescing = pu.at("requestCoalescing").asBool();
-    spec.seamlessMerge = pu.at("seamlessMerge").asBool();
-    const obs::json::Value &engine = v.at("engine");
-    spec.threads = static_cast<unsigned>(engine.at("threads").asNumber());
-    spec.withReferenceScheduler =
-        engine.at("referenceScheduler").asBool();
-    spec.withTrace = engine.at("trace").asBool();
+        boolField(pu, "pu.", "stallReducingPrefetch");
+    spec.requestCoalescing = boolField(pu, "pu.", "requestCoalescing");
+    spec.seamlessMerge = boolField(pu, "pu.", "seamlessMerge");
+    const obs::json::Value &engine =
+        field(v, "", "engine", Kind::Object, "an object");
+    spec.threads = integerField<unsigned>(engine, "engine.", "threads");
+    spec.withTrace = boolField(engine, "engine.", "trace");
     spec.samplePeriod =
-        static_cast<std::uint64_t>(engine.at("samplePeriod").asNumber());
-    // Fast-tier knobs postdate menda.caseSpec/1; older case files simply
-    // lack them, which means "off".
-    spec.withFunctional = engine.has("functional")
-                              ? engine.at("functional").asBool()
-                              : false;
-    spec.withSampledSim = engine.has("sampledSim")
-                              ? engine.at("sampledSim").asBool()
-                              : false;
-    spec.withServed =
-        engine.has("served") ? engine.at("served").asBool() : false;
-    spec.withCondensed = engine.has("condensed")
-                             ? engine.at("condensed").asBool()
-                             : false;
+        integerField<std::uint64_t>(engine, "engine.", "samplePeriod");
+    // Fast-tier, served and condensed knobs postdate menda.caseSpec/1;
+    // older case files simply lack them, which means "off". Older files
+    // also carry a flag for the retired DRAM-oracle variant; like any
+    // key not read here, it is ignored.
+    const auto optional_flag = [&](const char *key) {
+        return engine.has(key) && boolField(engine, "engine.", key);
+    };
+    spec.withFunctional = optional_flag("functional");
+    spec.withSampledSim = optional_flag("sampledSim");
+    spec.withServed = optional_flag("served");
+    spec.withCondensed = optional_flag("condensed");
     spec.normalize();
     return spec;
 }

@@ -78,10 +78,9 @@ struct CaseSpec
     bool seamlessMerge = true;
 
     // --- engine knobs: which execution variants to cross-check ---
-    unsigned threads = 2;        ///< host threads of the sharded variant
-    bool withReferenceScheduler = true; ///< run the DRAM oracle variant
-    bool withTrace = true;              ///< run the traced variant
-    std::uint64_t samplePeriod = 0;     ///< sampled variant; 0 = skip
+    unsigned threads = 2;           ///< host threads of the sharded variant
+    bool withTrace = true;          ///< run the traced variant
+    std::uint64_t samplePeriod = 0; ///< sampled variant; 0 = skip
 
     // Fast simulation tiers (DESIGN.md Sec. 12). These variants promise
     // bitwise-identical *outputs* only, so the harness skips the report
@@ -119,7 +118,14 @@ struct CaseSpec
     /** Canonical JSON (schema menda.caseSpec/1). */
     std::string toJson() const;
 
-    /** Parse a spec back; throws std::runtime_error on bad input. */
+    /**
+     * Parse a spec back, then normalize() it. Every field must be
+     * present with its JSON type and every number must be an integer
+     * its field holds exactly; otherwise throws std::runtime_error naming
+     * the field. Only the fast-tier, served and condensed flags may be
+     * absent (meaning off); keys not read here, such as the retired
+     * DRAM-oracle flag of older files, are ignored.
+     */
     static CaseSpec fromJson(const std::string &text);
 
     void write(const std::string &path) const;

@@ -13,19 +13,18 @@ namespace menda::check
 {
 
 std::vector<EngineVariant>
-variantsFor(const CaseSpec &spec)
+variantsFor(const CaseSpec &spec, bool inject_fault)
 {
     std::vector<EngineVariant> variants;
-    variants.push_back({"seq", 1, false, false, 0});
-    variants.push_back({"threads" + std::to_string(spec.threads),
-                        spec.threads, false, false, 0});
-    if (spec.withReferenceScheduler)
-        variants.push_back({"refsched", 1, true, false, 0});
+    variants.push_back({"seq", 1, false, 0});
+    EngineVariant threaded{"threads" + std::to_string(spec.threads),
+                           spec.threads, false, 0};
+    threaded.injectedFault = inject_fault;
+    variants.push_back(threaded);
     if (spec.withTrace)
-        variants.push_back({"traced", 1, false, true, 0});
+        variants.push_back({"traced", 1, true, 0});
     if (spec.samplePeriod != 0)
-        variants.push_back({"sampled", 1, false, false,
-                            spec.samplePeriod});
+        variants.push_back({"sampled", 1, false, spec.samplePeriod});
     if (spec.withFunctional) {
         EngineVariant v;
         v.name = "functional";
@@ -174,7 +173,8 @@ runVariant(const CaseSpec &spec, const EngineVariant &variant)
 
     core::SystemConfig config = spec.systemConfig();
     config.hostThreads = variant.hostThreads;
-    config.dram.referenceScheduler = variant.referenceScheduler;
+    if (variant.injectedFault)
+        config.dram.tRRDL = config.dram.tRRDS;
     config.samplePeriod = variant.samplePeriod;
     config.simMode = variant.simMode;
     if (variant.condensed)
@@ -343,9 +343,10 @@ diffOutcomes(const CaseSpec &spec, const EngineVariant &va,
 
 Mismatch
 runCase(const CaseSpec &spec, unsigned *runs, unsigned *pairs,
-        obs::RunReport *baseline_report)
+        obs::RunReport *baseline_report, bool inject_fault)
 {
-    const std::vector<EngineVariant> variants = variantsFor(spec);
+    const std::vector<EngineVariant> variants =
+        variantsFor(spec, inject_fault);
     std::vector<CaseOutcome> outcomes;
     outcomes.reserve(variants.size());
     for (const EngineVariant &variant : variants) {

@@ -5,10 +5,10 @@
  *
  * The simulator guarantees that several execution strategies produce
  * bit-identical results: sequential vs. sharded-parallel simulation,
- * dense vs. idle-skipped ticking, the indexed vs. reference DRAM
- * scheduler, and traced/sampled vs. plain runs. Each guarantee has its
- * own hand-written test on a handful of workloads; this module turns
- * them into one machine-checkable property per generated case:
+ * dense vs. idle-skipped ticking, traced/sampled vs. plain runs, and
+ * direct vs. served execution. Each guarantee has its own hand-written
+ * test on a handful of workloads; this module turns them into one
+ * machine-checkable property per generated case:
  *
  *   - every variant's *outputs* (CSC / y / CSR) must be bit-identical,
  *   - the outputs must match the golden CPU references,
@@ -16,6 +16,11 @@
  *     (reports are built with wall_seconds = 0, so no host-dependent
  *     metric exists; the sampled variant additionally carries series and
  *     is compared metric-wise instead of byte-wise).
+ *
+ * The DRAM scheduler is checked against its scan oracle by
+ * test_dram_sched_diff, not here. The harness's own self-test arms
+ * EngineVariant::injectedFault instead: a config-propagation bug that
+ * every report diff must catch.
  */
 
 #ifndef MENDA_CHECK_ENGINE_HH
@@ -35,7 +40,6 @@ struct EngineVariant
 {
     std::string name;        ///< stable id, e.g. "seq" or "threads2"
     unsigned hostThreads = 1;
-    bool referenceScheduler = false;
     bool traced = false;            ///< in-memory tracer attached
     std::uint64_t samplePeriod = 0; ///< interval samplers armed
     core::SimMode simMode = core::SimMode::Detailed; ///< fidelity tier
@@ -58,6 +62,14 @@ struct EngineVariant
     bool condensed = false;
 
     /**
+     * Self-test fault: build the DRAM config with tRRD_L = tRRD_S, as a
+     * bug that drops a timing field on its way to one variant would.
+     * Only the threadsN variant carries it, and only when the harness
+     * is asked to inject it.
+     */
+    bool injectedFault = false;
+
+    /**
      * Sampling adds time series to the report, so a sampled run is only
      * comparable metric-by-metric, not byte-by-byte.
      */
@@ -73,8 +85,12 @@ struct EngineVariant
     }
 };
 
-/** The variant list a spec's engine knobs select. Index 0 is baseline. */
-std::vector<EngineVariant> variantsFor(const CaseSpec &spec);
+/**
+ * The variant list a spec's engine knobs select. Index 0 is baseline.
+ * @p inject_fault arms EngineVariant::injectedFault on threadsN.
+ */
+std::vector<EngineVariant> variantsFor(const CaseSpec &spec,
+                                       bool inject_fault = false);
 
 /** Everything a variant run produces that must be deterministic. */
 struct CaseOutcome
@@ -114,11 +130,13 @@ Mismatch diffOutcomes(const CaseSpec &spec, const EngineVariant &va,
  * Run @p spec under every variant and diff all pairs plus the golden
  * references. @p runs/@p pairs (optional) accumulate how many variant
  * executions and pairwise diffs happened; @p baseline_report (optional)
- * receives the baseline variant's report for coverage accounting.
+ * receives the baseline variant's report for coverage accounting;
+ * @p inject_fault is passed to variantsFor().
  */
 Mismatch runCase(const CaseSpec &spec, unsigned *runs = nullptr,
                  unsigned *pairs = nullptr,
-                 obs::RunReport *baseline_report = nullptr);
+                 obs::RunReport *baseline_report = nullptr,
+                 bool inject_fault = false);
 
 } // namespace menda::check
 

@@ -85,7 +85,6 @@ CaseGenerator::next()
     spec.seamlessMerge = pick("seamless", 2, on_off) == 0;
 
     spec.threads = 2 + static_cast<unsigned>(rng_.below(2));
-    spec.withReferenceScheduler = true;
     spec.withTrace = rng_.below(4) != 0;
     spec.samplePeriod =
         pick("sampled", 2, on_off) == 0 ? 128 + rng_.below(1024) : 0;

@@ -22,13 +22,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Re-run a candidate spec and report whether it still fails. */
-bool
-specFails(const CaseSpec &spec)
-{
-    return static_cast<bool>(runCase(spec));
-}
-
 void
 handleFailure(const FuzzOptions &options, const CaseSpec &spec,
               const Mismatch &mismatch, FuzzResult &result,
@@ -42,11 +35,18 @@ handleFailure(const FuzzOptions &options, const CaseSpec &spec,
         << "\n";
 
     if (options.minimize) {
-        const MinimizeResult minimized = minimizeCase(spec, specFails);
+        const MinimizeResult minimized =
+            minimizeCase(spec, [&](const CaseSpec &candidate) {
+                return static_cast<bool>(runCase(candidate, nullptr,
+                                                 nullptr, nullptr,
+                                                 options.injectFault));
+            });
         failure.minimized = minimized.spec;
         // Re-derive the message from the minimized spec: the shrunk case
         // is what gets committed, so its symptom is the one to record.
-        if (Mismatch final_mismatch = runCase(failure.minimized))
+        if (Mismatch final_mismatch =
+                runCase(failure.minimized, nullptr, nullptr, nullptr,
+                        options.injectFault))
             failure.what = final_mismatch.what;
         log << "  minimized (" << minimized.attempts << " attempts, "
             << minimized.accepted << " shrinks) to "
@@ -87,7 +87,8 @@ fuzz(const FuzzOptions &options, std::ostream &log)
             const CaseSpec spec = CaseSpec::read(path);
             obs::RunReport report;
             const Mismatch mismatch =
-                runCase(spec, &result.runs, &result.pairs, &report);
+                runCase(spec, &result.runs, &result.pairs, &report,
+                        options.injectFault);
             ++result.corpusCases;
             result.coverage.note(spec, report);
             if (mismatch) {
@@ -110,7 +111,8 @@ fuzz(const FuzzOptions &options, std::ostream &log)
         const CaseSpec spec = generator.next();
         obs::RunReport report;
         const Mismatch mismatch =
-            runCase(spec, &result.runs, &result.pairs, &report);
+            runCase(spec, &result.runs, &result.pairs, &report,
+                    options.injectFault);
         ++result.cases;
         result.coverage.note(spec, report);
         if (mismatch)
@@ -130,12 +132,13 @@ fuzz(const FuzzOptions &options, std::ostream &log)
 }
 
 Mismatch
-replayFile(const std::string &path, std::ostream &log)
+replayFile(const std::string &path, std::ostream &log, bool inject_fault)
 {
     const CaseSpec spec = CaseSpec::read(path);
     log << "replaying " << path << ": " << spec.oneLine() << "\n";
     unsigned runs = 0, pairs = 0;
-    const Mismatch mismatch = runCase(spec, &runs, &pairs);
+    const Mismatch mismatch =
+        runCase(spec, &runs, &pairs, nullptr, inject_fault);
     if (mismatch)
         log << "MISMATCH: " << mismatch.what << "\n";
     else

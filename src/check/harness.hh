@@ -34,6 +34,7 @@ struct FuzzOptions
     std::string failureDir = "."; ///< minimized .case.json files land here
     bool minimize = true;
     unsigned logEvery = 50;      ///< progress line period; 0 = quiet
+    bool injectFault = false;    ///< self-test: see runCase()
 };
 
 struct FuzzFailure
@@ -61,9 +62,11 @@ FuzzResult fuzz(const FuzzOptions &options, std::ostream &log);
 
 /**
  * Re-run one persisted case file under the full variant matrix.
- * Returns the mismatch (empty = the case passes).
+ * Returns the mismatch (empty = the case passes). Throws
+ * std::runtime_error when the file is unreadable or not a valid spec.
  */
-Mismatch replayFile(const std::string &path, std::ostream &log);
+Mismatch replayFile(const std::string &path, std::ostream &log,
+                    bool inject_fault = false);
 
 } // namespace menda::check
 

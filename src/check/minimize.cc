@@ -103,7 +103,6 @@ shrinkCandidates(const CaseSpec &spec)
     // Drop optional engine variants so the repro runs fewer engines.
     add([](CaseSpec &c) { c.withTrace = false; });
     add([](CaseSpec &c) { c.samplePeriod = 0; });
-    add([](CaseSpec &c) { c.withReferenceScheduler = false; });
     add([](CaseSpec &c) { c.withFunctional = false; });
     add([](CaseSpec &c) { c.withSampledSim = false; });
     add([](CaseSpec &c) { c.withServed = false; });

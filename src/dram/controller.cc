@@ -1,33 +1,11 @@
 #include "dram/controller.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/log.hh"
 
 namespace menda::dram
 {
-
-namespace
-{
-
-/**
- * Fault-injection hook for the conformance harness: when the
- * MENDA_TEST_FLIP_TIEBREAK environment variable is set (to anything),
- * the indexed scheduler's FR-pass tie-break picks the *youngest* request
- * among equally-ready banks instead of the oldest. The reference
- * scheduler is unaffected, so the divergence surfaces as a cross-variant
- * metric mismatch. Read once; never set outside the harness's own tests.
- */
-bool
-flipTieBreak()
-{
-    static const bool flip =
-        std::getenv("MENDA_TEST_FLIP_TIEBREAK") != nullptr;
-    return flip;
-}
-
-} // namespace
 
 MemoryController::MemoryController(std::string name,
                                    const DramConfig &config, bool coalesce)
@@ -137,10 +115,8 @@ MemoryController::enqueue(const mem::MemRequest &req)
         const Bank &bank = banks_[fb];
         if (bank.open && bank.openRow == coord.row)
             ++openRowWaiters(aligned.isWrite)[fb];
-        if (!config_.referenceScheduler) {
-            linkSlot(bankIndex(aligned.isWrite), fb, slot);
-            rekeyBank(aligned.isWrite, fb, 0);
-        }
+        linkSlot(bankIndex(aligned.isWrite), fb, slot);
+        rekeyBank(aligned.isWrite, fb, 0);
     }
     return true;
 }
@@ -194,19 +170,12 @@ MemoryController::quiescentFor() const
             window = std::min(window, deadline - now_);
         }
     }
-    if (config_.referenceScheduler) {
-        // The oracle rescans its queues every cycle; only a fully idle
-        // controller can skip.
-        if (!(readQueue_.empty() && writeQueue_.empty()))
-            return 0;
-        return window;
-    }
-    // Indexed path. The write-drain hysteresis bit is real state: a tick
-    // that flips it is not a no-op even when no command issues (with an
-    // empty read queue and a write backlog at or below the low watermark
-    // the dense schedule alternates off/on, issuing a write every other
-    // cycle — skipping would lose the flip parity). Only skip while the
-    // bit is stable; queue sizes cannot change inside a no-op window, so
+    // The write-drain hysteresis bit is real state: a tick that flips it
+    // is not a no-op even when no command issues (with an empty read
+    // queue and a write backlog at or below the low watermark the dense
+    // schedule alternates off/on, issuing a write every other cycle —
+    // skipping would lose the flip parity). Only skip while the bit is
+    // stable; queue sizes cannot change inside a no-op window, so
     // stability holds across the whole window once it holds now.
     const bool draining_next = willDrainWrites();
     if (draining_next != drainingWrites_)
@@ -279,52 +248,6 @@ MemoryController::tick()
 bool
 MemoryController::pickAndIssue(mem::RequestQueue &queue, bool is_write)
 {
-    return config_.referenceScheduler
-               ? pickAndIssueReference(queue, is_write)
-               : pickAndIssueIndexed(queue, is_write);
-}
-
-bool
-MemoryController::pickAndIssueReference(mem::RequestQueue &queue,
-                                        bool is_write)
-{
-    if (queue.empty())
-        return false;
-
-    // Pass 1 — FR: oldest request that is a row hit and ready to launch.
-    // Globally gated: no burst of this type can issue before the bus
-    // tCCD/turnaround horizon, so skip the scan entirely until then.
-    const Cycle burst_gate = is_write ? nextWriteCmd_ : nextReadCmd_;
-    if (now_ >= burst_gate) {
-        for (std::uint32_t s = queue.headSlot();
-             s != mem::RequestQueue::npos; s = queue.nextSlot(s)) {
-            bool served = false;
-            if (tryIssueFor(queue.slotAt(s), is_write, true, served)) {
-                if (served)
-                    queue.removeSlot(s);
-                return true;
-            }
-        }
-    }
-    // Pass 2 — FCFS: oldest request for which any command can issue.
-    // The scan window is bounded, as in real schedulers.
-    std::size_t window = std::min<std::size_t>(queue.size(), 16);
-    for (std::uint32_t s = queue.headSlot(); window-- > 0;
-         s = queue.nextSlot(s)) {
-        bool served = false;
-        if (tryIssueFor(queue.slotAt(s), is_write, false, served)) {
-            if (served)
-                queue.removeSlot(s);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-MemoryController::pickAndIssueIndexed(mem::RequestQueue &queue,
-                                      bool is_write)
-{
     if (queue.empty())
         return false;
     BankIndex &index = bankIndex(is_write);
@@ -354,7 +277,7 @@ MemoryController::pickAndIssueIndexed(mem::RequestQueue &queue,
     // is uniform across one bank's requests (the group is a function of
     // the bank), so each eligible bank contributes its oldest open-row
     // hit and the winner is the lowest request id — exactly the request
-    // the reference full-queue scan stops at.
+    // an age-ordered scan of the whole queue stops at.
     const Cycle burst_gate = is_write ? nextWriteCmd_ : nextReadCmd_;
     const bool fr_ran = now_ >= burst_gate;
     if (fr_ran) {
@@ -378,8 +301,7 @@ MemoryController::pickAndIssueIndexed(mem::RequestQueue &queue,
             while (queue.slotAt(s).coord.row != bank.openRow)
                 s = index.next[s];
             const std::uint64_t id = queue.slotAt(s).id;
-            if (best == mem::RequestQueue::npos ||
-                (flipTieBreak() ? id > best_id : id < best_id)) {
+            if (best == mem::RequestQueue::npos || id < best_id) {
                 best = s;
                 best_fb = fb;
                 best_id = id;
@@ -569,8 +491,6 @@ MemoryController::rekeyBank(bool is_write, unsigned fb, Cycle floor)
 void
 MemoryController::rekeyRankBanks(unsigned rank)
 {
-    if (config_.referenceScheduler)
-        return;
     const unsigned per_rank = config_.bankGroups * config_.banksPerGroup;
     for (unsigned fb = rank * per_rank; fb < (rank + 1) * per_rank; ++fb) {
         rekeyBank(false, fb, 0);
@@ -649,12 +569,6 @@ MemoryController::canActivateAt(unsigned fb) const
 }
 
 bool
-MemoryController::canActivate(const DramCoord &coord) const
-{
-    return canActivateAt(coord.flatBank(config_));
-}
-
-bool
 MemoryController::canPrecharge(const Bank &bank) const
 {
     return bank.open && now_ >= bank.nextPrecharge;
@@ -700,13 +614,9 @@ MemoryController::issueActivate(const DramCoord &coord)
         rank.actRing[rank.actHead] = now_;
         rank.actHead = (rank.actHead + 1) & 3;
     }
-    if (config_.referenceScheduler) {
-        recountOpenRowWaiters(coord);
-    } else {
-        recountBankWaiters(fb);
-        rekeyBank(false, fb, 0);
-        rekeyBank(true, fb, 0);
-    }
+    recountBankWaiters(fb);
+    rekeyBank(false, fb, 0);
+    rekeyBank(true, fb, 0);
     ++activates_;
     ++rankActivates_[coord.rank];
     commandIssued_ = true;
@@ -717,34 +627,10 @@ MemoryController::issueActivate(const DramCoord &coord)
 }
 
 void
-MemoryController::recountOpenRowWaiters(const DramCoord &coord)
-{
-    const unsigned fb = coord.flatBank(config_);
-    const Bank &bank = bankAt(coord);
-    openRowHitsRead_[fb] = 0;
-    openRowHitsWrite_[fb] = 0;
-    if (!bank.open)
-        return;
-    for (std::uint32_t s = readQueue_.headSlot();
-         s != mem::RequestQueue::npos; s = readQueue_.nextSlot(s)) {
-        const mem::DecodedCoord &other = readQueue_.slotAt(s).coord;
-        if (other.flatBank == fb && other.row == bank.openRow)
-            ++openRowHitsRead_[fb];
-    }
-    for (std::uint32_t s = writeQueue_.headSlot();
-         s != mem::RequestQueue::npos; s = writeQueue_.nextSlot(s)) {
-        const mem::DecodedCoord &other = writeQueue_.slotAt(s).coord;
-        if (other.flatBank == fb && other.row == bank.openRow)
-            ++openRowHitsWrite_[fb];
-    }
-}
-
-void
 MemoryController::recountBankWaiters(unsigned fb)
 {
-    // Bank-local replacement for the reference full-queue recount: only
-    // requests bucketed under this bank can hit its open row, and they
-    // are exactly the members of the two per-bank FIFOs.
+    // Only requests bucketed under this bank can hit its open row, and
+    // they are exactly the members of the two per-bank FIFOs.
     const Bank &bank = banks_[fb];
     std::uint32_t read_hits = 0, write_hits = 0;
     for (std::uint32_t s = readIndex_.head[fb];
@@ -767,10 +653,8 @@ MemoryController::issuePrecharge(const DramCoord &coord)
                                         now_ + config_.tRP);
     openRowHitsRead_[fb] = 0;
     openRowHitsWrite_[fb] = 0;
-    if (!config_.referenceScheduler) {
-        rekeyBank(false, fb, 0);
-        rekeyBank(true, fb, 0);
-    }
+    rekeyBank(false, fb, 0);
+    rekeyBank(true, fb, 0);
     ++precharges_;
     commandIssued_ = true;
     if (trace_)

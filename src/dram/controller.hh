@@ -19,9 +19,9 @@
  * next-eligible cycle lets pickAndIssue touch only banks that might accept
  * a command this cycle — a few integer compares per cycle instead of a
  * linear rescan of every queue entry and its DRAM timing state. The
- * original scan-based scheduler survives
- * behind DramConfig::referenceScheduler as a differential-testing oracle;
- * both produce bit-identical command streams, counters, and responses.
+ * original scan-based scheduler is the test oracle
+ * (tests/reference_dram_controller.hh): on random traces and on replayed
+ * PU traffic it must issue the same command stream, cycle for cycle.
  */
 
 #ifndef MENDA_DRAM_CONTROLLER_HH
@@ -121,8 +121,7 @@ class MemoryController : public Ticked
      * out tRCD, tRC, tRFC, ...) reports a non-zero skippable window
      * instead of rescanning every cycle. Bank/bus timing state is
      * untouched during such windows, which is what makes the O(1)
-     * catch-up in skipCycles() exact. The reference-scheduler oracle
-     * keeps the legacy behavior (only a fully idle controller skips).
+     * catch-up in skipCycles() exact.
      */
     Cycle quiescentFor() const override;
     void skipCycles(Cycle cycles) override { now_ += cycles; }
@@ -280,8 +279,6 @@ class MemoryController : public Ticked
 
     // Scheduling.
     bool pickAndIssue(mem::RequestQueue &queue, bool is_write);
-    bool pickAndIssueReference(mem::RequestQueue &queue, bool is_write);
-    bool pickAndIssueIndexed(mem::RequestQueue &queue, bool is_write);
     bool tryIssueFor(const mem::MemRequest &req, bool is_write,
                      bool hits_only, bool &served);
     void issueActivate(const DramCoord &coord);
@@ -290,7 +287,6 @@ class MemoryController : public Ticked
                     bool is_write);
     void maybeRefresh();
 
-    void recountOpenRowWaiters(const DramCoord &coord);
     void recountBankWaiters(unsigned fb);
 
     /** Per-flat-bank count of queued requests hitting the open row. */
@@ -305,7 +301,7 @@ class MemoryController : public Ticked
         return is_write ? openRowHitsWrite_ : openRowHitsRead_;
     }
 
-    // Indexed-scheduler bookkeeping.
+    // Ready-bank index bookkeeping.
     BankIndex &bankIndex(bool is_write)
     {
         return is_write ? writeIndex_ : readIndex_;
@@ -332,7 +328,6 @@ class MemoryController : public Ticked
         return fb / config_.banksPerGroup;
     }
 
-    bool canActivate(const DramCoord &coord) const;
     bool canActivateAt(unsigned fb) const;
     bool canPrecharge(const Bank &bank) const;
     bool canRead(const Bank &bank, unsigned group_index) const;

@@ -6,7 +6,9 @@
  * 32-entry RD/WR queues with FRFCFS_PriorHit scheduling, and the listed
  * timing constraints (in memory-clock cycles at 1200 MHz). Parameters the
  * table omits (write recovery, turnarounds, refresh) use JEDEC DDR4-2400
- * values.
+ * values. The config describes the device and its queues only: the
+ * controller has one scheduler, so no field selects a scheduling
+ * implementation.
  */
 
 #ifndef MENDA_DRAM_DRAM_CONFIG_HH
@@ -80,15 +82,6 @@ struct DramConfig
     unsigned writeHighWatermark = 24; ///< start draining writes
     unsigned writeLowWatermark = 8;   ///< stop draining writes
     bool refreshEnabled = true;
-
-    /**
-     * Schedule with the original per-cycle linear queue scans instead of
-     * the indexed per-bank structures. Both implement the same
-     * FRFCFS_PriorHit policy and must produce bit-identical command
-     * streams; the scan path is kept as a differential-testing oracle
-     * (test_dram_sched_diff), not for production use.
-     */
-    bool referenceScheduler = false;
 
     /** Total banks visible to this controller. */
     unsigned totalBanks() const { return ranks * bankGroups * banksPerGroup; }

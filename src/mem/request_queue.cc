@@ -101,14 +101,4 @@ RequestQueue::removeSlot(std::uint32_t slot)
     return entry.req;
 }
 
-std::uint32_t
-RequestQueue::slotOf(std::size_t i) const
-{
-    menda_assert(i < size_, "request queue index out of range");
-    std::uint32_t slot = head_;
-    while (i-- > 0)
-        slot = slots_[slot].next;
-    return slot;
-}
-
 } // namespace menda::mem

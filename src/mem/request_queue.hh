@@ -102,17 +102,6 @@ class RequestQueue
     /** Remove the request in @p slot (any position) in O(1). */
     MemRequest removeSlot(std::uint32_t slot);
 
-    // --- position interface (0 = oldest; walks the list, O(i)) ---
-    /** Access entry @p i for age-ordered scans (reference scheduler). */
-    const MemRequest &at(std::size_t i) const
-    {
-        return slots_[slotOf(i)].req;
-    }
-    MemRequest &at(std::size_t i) { return slots_[slotOf(i)].req; }
-
-    /** Remove entry @p i once its last command has been issued. */
-    MemRequest remove(std::size_t i) { return removeSlot(slotOf(i)); }
-
     /** Statistics. */
     const Counter &enqueued() const { return enqueued_; }
     const Counter &coalescedHits() const { return coalescedHits_; }
@@ -131,8 +120,6 @@ class RequestQueue
         std::uint32_t prev = npos;
         std::uint32_t next = npos;
     };
-
-    std::uint32_t slotOf(std::size_t i) const;
 
     std::size_t entries_;
     bool coalesce_;

@@ -11,10 +11,13 @@
  *  - Every committed corpus case under tests/corpus/ must replay clean
  *    through the full variant cross-check, and replays must be
  *    deterministic (same bytes twice).
- *  - The harness's own end-to-end self test: with the hidden
- *    MENDA_TEST_FLIP_TIEBREAK fault armed, the menda_check binary must
- *    catch the flipped DRAM scheduler tie-break and minimize it to a
- *    tiny repro case.
+ *  - The harness's own end-to-end self test: with `--inject-fault`, the
+ *    menda_check binary must catch the timing bug it plants in the
+ *    threadsN variant (tRRD_L = tRRD_S) and minimize it to a tiny
+ *    repro case.
+ *  - Hostile case files: a missing, mistyped or out-of-range field is an
+ *    error naming the field, and `menda_check --replay` exits 2 instead
+ *    of running some other case.
  */
 
 #include <gtest/gtest.h>
@@ -199,7 +202,7 @@ runBinary(const std::string &command)
 
 } // namespace
 
-TEST(InjectedFault, SchedulerTieBreakBugIsCaughtAndMinimized)
+TEST(InjectedFault, TimingBugIsCaughtAndMinimized)
 {
     const fs::path out =
         fs::path(::testing::TempDir()) / "menda_check_fault";
@@ -207,11 +210,11 @@ TEST(InjectedFault, SchedulerTieBreakBugIsCaughtAndMinimized)
     fs::create_directories(out);
     const std::string bin = MENDA_CHECK_BIN;
 
-    // The flipped FR-pass tie-break must surface as a cross-variant
-    // mismatch within a modest number of generated cases.
+    // The threadsN variant's dropped tRRD_L must surface as a
+    // cross-variant mismatch within a modest number of generated cases.
     const int fuzz_status = runBinary(
         bin +
-        " --budget 60s --seed 1 --max-cases 300 --inject-tiebreak-bug"
+        " --budget 60s --seed 1 --max-cases 300 --inject-fault"
         " --out " +
         out.string() + " > " + (out / "fuzz.log").string() + " 2>&1");
     ASSERT_EQ(fuzz_status, 1) << readFile(out / "fuzz.log");
@@ -227,10 +230,139 @@ TEST(InjectedFault, SchedulerTieBreakBugIsCaughtAndMinimized)
     EXPECT_LE(total_nnz, 64u) << spec.oneLine();
 
     // The minimized case replays red with the fault and green without.
-    EXPECT_EQ(runBinary(bin + " --inject-tiebreak-bug --replay " +
+    EXPECT_EQ(runBinary(bin + " --inject-fault --replay " +
                         repro.string() + " > /dev/null 2>&1"),
               1);
     EXPECT_EQ(runBinary(bin + " --replay " + repro.string() +
                         " > /dev/null 2>&1"),
               0);
+}
+
+namespace
+{
+
+/**
+ * A valid transpose case file with @p from replaced by @p to, written
+ * under the test temp dir; returns its path.
+ */
+std::string
+hostileCase(const std::string &name, const std::string &from,
+            const std::string &to)
+{
+    CaseSpec spec;
+    spec.a = {MatrixKind::Uniform, 64, 64, 256, 1};
+    spec.normalize();
+    std::string text = spec.toJson();
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from << " not in " << text;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    const fs::path path =
+        fs::path(::testing::TempDir()) / (name + ".case.json");
+    std::ofstream(path, std::ios::binary) << text << "\n";
+    return path.string();
+}
+
+/** CaseSpec::read's error for @p path, or "" when it parses. */
+std::string
+readError(const std::string &path)
+{
+    try {
+        CaseSpec::read(path);
+    } catch (const std::runtime_error &error) {
+        return error.what();
+    }
+    return "";
+}
+
+/** Exit status of `menda_check --replay @p path`. */
+int
+replayStatus(const std::string &path)
+{
+    return runBinary(std::string(MENDA_CHECK_BIN) + " --replay " + path +
+                     " > /dev/null 2>&1");
+}
+
+} // namespace
+
+TEST(HostileCaseFile, NegativeRowsAreRejected)
+{
+    // Cast unchecked, -5 is undefined and ran as 4096 rows.
+    const std::string path =
+        hostileCase("negative-rows", "\"rows\":64", "\"rows\":-5");
+    EXPECT_NE(readError(path).find("'a.rows'"), std::string::npos)
+        << readError(path);
+    EXPECT_EQ(replayStatus(path), 2);
+}
+
+TEST(HostileCaseFile, OutOfRangeThreadsAreRejected)
+{
+    // Cast unchecked, 1e10 is undefined and ran as 4 threads.
+    const std::string path = hostileCase("huge-threads", "\"threads\":2",
+                                         "\"threads\":1e10");
+    EXPECT_NE(readError(path).find("'engine.threads'"), std::string::npos)
+        << readError(path);
+    EXPECT_EQ(replayStatus(path), 2);
+}
+
+TEST(HostileCaseFile, MistypedLeavesAreRejected)
+{
+    // Read unchecked, a string is 0 and ran as 4 leaves.
+    const std::string path =
+        hostileCase("string-leaves", "\"leaves\":16", "\"leaves\":\"64\"");
+    EXPECT_NE(readError(path).find("'pu.leaves'"), std::string::npos)
+        << readError(path);
+    EXPECT_EQ(replayStatus(path), 2);
+}
+
+TEST(HostileCaseFile, MissingRowsAreRejected)
+{
+    // Read unchecked, an absent field is 0 and ran as 1 row.
+    const std::string path =
+        hostileCase("missing-rows", "\"rows\":64,", "");
+    EXPECT_NE(readError(path).find("'a.rows'"), std::string::npos)
+        << readError(path);
+    EXPECT_EQ(replayStatus(path), 2);
+}
+
+TEST(HostileCaseFile, FractionalAndMistypedFieldsAreRejected)
+{
+    EXPECT_NE(readError(hostileCase("fractional-nnz", "\"nnz\":256",
+                                    "\"nnz\":2.5"))
+                  .find("'a.nnz'"),
+              std::string::npos);
+    EXPECT_NE(readError(hostileCase("numeric-trace", "\"trace\":true",
+                                    "\"trace\":1"))
+                  .find("'engine.trace'"),
+              std::string::npos);
+    EXPECT_NE(readError(hostileCase("mistyped-served", "\"served\":false",
+                                    "\"served\":\"no\""))
+                  .find("'engine.served'"),
+              std::string::npos);
+    EXPECT_NE(readError(hostileCase("array-pu", "\"pu\":{",
+                                    "\"pu\":[],\"x\":{"))
+                  .find("'pu'"),
+              std::string::npos);
+}
+
+TEST(HostileCaseFile, LegacyAndOptionalKeysStillRead)
+{
+    // Older corpus files carry "referenceScheduler" (ignored) and lack
+    // the later optional engine flags (off); both still parse, and a
+    // clamped value is normalized, not rejected.
+    CaseSpec spec;
+    spec.a = {MatrixKind::Uniform, 64, 64, 256, 1};
+    spec.withServed = true;
+    spec.normalize();
+    std::string text = spec.toJson();
+    text.replace(text.find("\"samplePeriod\""), 0,
+                 "\"referenceScheduler\":true,");
+    text.replace(text.find("\"served\":true,"),
+                 std::string("\"served\":true,").size(), "");
+    text.replace(text.find("\"leaves\":16"),
+                 std::string("\"leaves\":16").size(), "\"leaves\":1000");
+    const CaseSpec parsed = CaseSpec::fromJson(text);
+    EXPECT_FALSE(parsed.withServed);
+    EXPECT_EQ(parsed.leaves, 64u);
+    EXPECT_EQ(parsed.a, spec.a);
 }

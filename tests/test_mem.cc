@@ -31,6 +31,16 @@ store(Addr addr)
     return req;
 }
 
+/** Slot of the @p age-th oldest request (0 = oldest), walking the list. */
+std::uint32_t
+slotOfAge(const RequestQueue &q, std::size_t age)
+{
+    std::uint32_t slot = q.headSlot();
+    while (age-- > 0)
+        slot = q.nextSlot(slot);
+    return slot;
+}
+
 } // namespace
 
 TEST(RequestQueue, FifoOrderAndCapacity)
@@ -42,7 +52,7 @@ TEST(RequestQueue, FifoOrderAndCapacity)
     EXPECT_TRUE(q.full());
     EXPECT_FALSE(q.enqueue(load(999 * 64)));
     EXPECT_EQ(q.front().addr, 0u);
-    q.remove(0);
+    q.removeSlot(slotOfAge(q, 0));
     EXPECT_EQ(q.front().addr, 64u);
     EXPECT_TRUE(q.enqueue(load(999 * 64)));
 }
@@ -54,7 +64,7 @@ TEST(RequestQueue, CoalescingMergesSameBlockLoads)
     EXPECT_TRUE(q.enqueue(load(256, 2)));
     EXPECT_TRUE(q.enqueue(load(256, 3)));
     EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.at(0).coalesced, 2u);
+    EXPECT_EQ(q.slotAt(slotOfAge(q, 0)).coalesced, 2u);
     EXPECT_EQ(q.coalescedHits().value(), 2u);
 }
 
@@ -84,7 +94,7 @@ TEST(RequestQueue, LoadsDoNotMergeIntoStores)
     EXPECT_TRUE(q.enqueue(store(512)));
     EXPECT_TRUE(q.enqueue(load(512)));
     EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.at(1).coalesced, 0u);
+    EXPECT_EQ(q.slotAt(slotOfAge(q, 1)).coalesced, 0u);
 }
 
 TEST(RequestQueue, DisabledCoalescingKeepsDuplicates)
@@ -102,7 +112,8 @@ TEST(RequestQueue, IdsAreUniqueAndMonotonic)
     for (Addr a = 0; a < 8; ++a)
         EXPECT_TRUE(q.enqueue(load(a * 64)));
     for (std::size_t i = 1; i < q.size(); ++i)
-        EXPECT_GT(q.at(i).id, q.at(i - 1).id);
+        EXPECT_GT(q.slotAt(slotOfAge(q, i)).id,
+                  q.slotAt(slotOfAge(q, i - 1)).id);
 }
 
 TEST(RequestQueue, RejectsMisalignedAddresses)
@@ -116,8 +127,8 @@ TEST(RequestQueue, RemoveMiddleKeepsOrder)
     RequestQueue q(4, false);
     for (Addr a = 0; a < 4; ++a)
         EXPECT_TRUE(q.enqueue(load(a * 64)));
-    q.remove(1);
-    EXPECT_EQ(q.at(0).addr, 0u);
-    EXPECT_EQ(q.at(1).addr, 128u);
-    EXPECT_EQ(q.at(2).addr, 192u);
+    q.removeSlot(slotOfAge(q, 1));
+    EXPECT_EQ(q.slotAt(slotOfAge(q, 0)).addr, 0u);
+    EXPECT_EQ(q.slotAt(slotOfAge(q, 1)).addr, 128u);
+    EXPECT_EQ(q.slotAt(slotOfAge(q, 2)).addr, 192u);
 }

@@ -8,22 +8,25 @@
  *               [--out DIR] [--max-failures N] [--no-minimize]
  *
  * generates coverage-biased random cases, runs each through every
- * applicable engine variant (sequential, sharded-parallel, reference
- * DRAM scheduler, traced, sampled), and diffs outputs, golden CPU
- * references, and the deterministic run-report metrics. A mismatch is
- * delta-debugged to a minimal spec and written to `<out>/fail-N.case.json`.
+ * applicable engine variant (sequential, sharded-parallel, traced,
+ * sampled, the fast tiers, served, condensed), and diffs outputs, golden
+ * CPU references, and the deterministic run-report metrics. A mismatch
+ * is delta-debugged to a minimal spec and written to
+ * `<out>/fail-N.case.json`.
  *
  * Replay mode:
  *
  *   menda_check --replay tests/corpus/some.case.json
  *
  * re-runs one persisted case deterministically. Exit status: 0 = all
- * cases conform, 1 = mismatch found, 2 = usage/file error.
+ * cases conform, 1 = mismatch found, 2 = usage/file error (including a
+ * case file with a missing, mistyped or out-of-range field).
  *
- * `--inject-tiebreak-bug` arms the hidden MENDA_TEST_FLIP_TIEBREAK fault
- * (flipped FR-pass tie-break in the indexed DRAM scheduler) before any
- * controller is constructed — the harness's own self-test that a real
- * scheduler bug is caught and minimized.
+ * `--inject-fault` is the harness's own self-test: the threadsN variant
+ * then runs with tRRD_L = tRRD_S in its DRAM config, a config-propagation
+ * bug the report diffs must catch and the minimizer must shrink. The
+ * flag goes to the harness as an argument; nothing in the simulator
+ * reads it.
  */
 
 #include <cstdio>
@@ -87,8 +90,8 @@ usage()
         stderr,
         "usage: menda_check [--budget 60s] [--seed N] [--max-cases N]\n"
         "                   [--max-failures N] [--corpus DIR] [--out DIR]\n"
-        "                   [--no-minimize] [--inject-tiebreak-bug]\n"
-        "       menda_check --replay FILE.case.json\n");
+        "                   [--no-minimize] [--inject-fault]\n"
+        "       menda_check [--inject-fault] --replay FILE.case.json\n");
 }
 
 } // namespace
@@ -110,13 +113,12 @@ main(int argc, char **argv)
         usage();
         return 0;
     }
-    if (opts.has("inject-tiebreak-bug"))
-        setenv("MENDA_TEST_FLIP_TIEBREAK", "1", 1);
+    const bool inject_fault = opts.has("inject-fault");
 
     try {
         if (opts.has("replay")) {
-            const check::Mismatch mismatch =
-                check::replayFile(opts.get("replay"), std::cout);
+            const check::Mismatch mismatch = check::replayFile(
+                opts.get("replay"), std::cout, inject_fault);
             return mismatch ? 1 : 0;
         }
 
@@ -137,6 +139,7 @@ main(int argc, char **argv)
         options.corpusDir = opts.get("corpus", "");
         options.failureDir = opts.get("out", ".");
         options.minimize = !opts.has("no-minimize");
+        options.injectFault = inject_fault;
 
         const check::FuzzResult result = check::fuzz(options, std::cout);
         return result.passed() ? 0 : 1;
