@@ -2,10 +2,12 @@
  * @file
  * Conformance regression suite on top of the menda_check subsystem.
  *
- *  - A committed golden run-report corpus (3 small matrices x 3
- *    kernels) must stay byte-identical: any change to deterministic
- *    metrics, report canonicalization, or simulation behaviour fails
- *    here before it can silently shift the perf gate. Regenerate with
+ *  - A committed golden run-report corpus (4 small matrices x 3
+ *    kernels x the seq, condensed, functional and sampledsim engines)
+ *    must stay byte-identical: any change to deterministic metrics,
+ *    report canonicalization, simulation behaviour, the Huffman
+ *    schedule or the fast tiers' estimates fails here before it can
+ *    silently shift the perf gate. Regenerate with
  *    `MENDA_REGEN_GOLDEN=1 ./tests/test_conformance` after an
  *    intentional change.
  *  - Every committed corpus case under tests/corpus/ must replay clean
@@ -25,7 +27,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,7 +63,12 @@ struct GoldenCase
     MatrixSpec a;
 };
 
-/** The three committed matrices. Small but structurally distinct. */
+/**
+ * The committed matrices. Small but structurally distinct; uniform256
+ * is the one large enough (4,096 nnz) to pass the sampled tier's
+ * 1,024-element checkpoint stride, so its sampledsim reports run
+ * several measurement windows on checkpoint suffixes.
+ */
 const GoldenCase kMatrices[] = {
     {"uniform48",
      {MatrixKind::Uniform, /*rows=*/48, /*cols=*/48, /*nnz=*/300,
@@ -70,7 +79,14 @@ const GoldenCase kMatrices[] = {
     {"denserows40",
      {MatrixKind::DenseRows, /*rows=*/40, /*cols=*/56, /*nnz=*/280,
       /*seed=*/13}},
+    {"uniform256",
+     {MatrixKind::Uniform, /*rows=*/256, /*cols=*/256, /*nnz=*/4096,
+      /*seed=*/14}},
 };
+
+/** Engines with a golden axis; names are check::variantsFor's. */
+const char *const kEngines[] = {"seq", "condensed", "functional",
+                                "sampledsim"};
 
 CaseSpec
 goldenSpec(const GoldenCase &matrix, Kernel kernel)
@@ -88,30 +104,33 @@ goldenSpec(const GoldenCase &matrix, Kernel kernel)
     return spec;
 }
 
-fs::path
-goldenPath(const GoldenCase &matrix, Kernel kernel)
+/** The variant menda_check runs as @p engine on @p spec. */
+EngineVariant
+goldenVariant(CaseSpec spec, const std::string &engine)
 {
-    return fs::path(MENDA_TEST_DATA_DIR) / "conformance" /
-           (std::string(matrix.matrixName) + "-" + kernelName(kernel) +
-            ".report.json");
+    spec.withFunctional = spec.withSampledSim = true;
+    spec.withCondensed = spec.kernel == Kernel::Spgemm;
+    for (const EngineVariant &variant : variantsFor(spec))
+        if (variant.name == engine)
+            return variant;
+    throw std::runtime_error("no " + engine + " variant for " +
+                             spec.oneLine());
 }
 
-class GoldenReports
-    : public ::testing::TestWithParam<std::pair<unsigned, unsigned>>
+/**
+ * Run @p matrix through @p kernel on @p engine and check the report
+ * against the committed file @p name under tests/data/conformance.
+ */
+void
+expectGoldenReport(const GoldenCase &matrix, Kernel kernel,
+                   const std::string &engine, const std::string &name)
 {
-};
-
-} // namespace
-
-TEST_P(GoldenReports, ByteIdenticalAndZeroToleranceDiff)
-{
-    const GoldenCase &matrix = kMatrices[GetParam().first];
-    const Kernel kernel = core::kKernels[GetParam().second];
     const CaseSpec spec = goldenSpec(matrix, kernel);
-    const EngineVariant baseline = variantsFor(spec).front();
-    const CaseOutcome outcome = runVariant(spec, baseline);
+    const CaseOutcome outcome =
+        runVariant(spec, goldenVariant(spec, engine));
 
-    const fs::path path = goldenPath(matrix, kernel);
+    const fs::path path =
+        fs::path(MENDA_TEST_DATA_DIR) / "conformance" / name;
     if (std::getenv("MENDA_REGEN_GOLDEN") != nullptr) {
         fs::create_directories(path.parent_path());
         outcome.report.write(path.string());
@@ -122,8 +141,9 @@ TEST_P(GoldenReports, ByteIdenticalAndZeroToleranceDiff)
     // Byte-identical: the canonical serialization and every metric value
     // must match exactly.
     EXPECT_EQ(readFile(path), outcome.reportJson)
-        << "golden report drifted for " << spec.oneLine()
-        << "; if intentional, regenerate with MENDA_REGEN_GOLDEN=1";
+        << "golden report drifted for " << spec.oneLine() << " on "
+        << engine << "; if intentional, regenerate with "
+        << "MENDA_REGEN_GOLDEN=1";
 
     // And through the diff tool's strictest setting: zero tolerance.
     const obs::RunReport golden = obs::RunReport::read(path.string());
@@ -138,6 +158,73 @@ TEST_P(GoldenReports, ByteIdenticalAndZeroToleranceDiff)
             << entry.current;
 }
 
+/** The seq (detailed-tier) reports of the first three matrices. */
+class GoldenReports
+    : public ::testing::TestWithParam<std::pair<unsigned, unsigned>>
+{
+};
+
+/** One (matrix, kernel, engine) cell of the engine axis. */
+struct GoldenRun
+{
+    unsigned matrix = 0;
+    Kernel kernel = Kernel::Transpose;
+    unsigned engine = 0; ///< index into kEngines
+
+    /** e.g. "uniform256_transpose_sampledsim". */
+    std::string
+    name() const
+    {
+        return std::string(kMatrices[matrix].matrixName) + "_" +
+               kernelName(kernel) + "_" + kEngines[engine];
+    }
+};
+
+void
+PrintTo(const GoldenRun &run, std::ostream *os)
+{
+    *os << run.name();
+}
+
+/** Matrices (from the front of kMatrices) whose seq reports
+ *  GoldenReports pins under their pre-engine-axis names. */
+constexpr unsigned kSeqPinnedMatrices = 3;
+
+/**
+ * Every engine on every matrix, minus the seq cells GoldenReports
+ * already pins (the condensed scheduler exists for SpGEMM only).
+ */
+std::vector<GoldenRun>
+engineRuns()
+{
+    std::vector<GoldenRun> runs;
+    for (unsigned m = 0; m < std::size(kMatrices); ++m)
+        for (Kernel kernel : core::kKernels)
+            for (unsigned e = 0; e < std::size(kEngines); ++e) {
+                const std::string engine = kEngines[e];
+                if ((engine == "seq" && m < kSeqPinnedMatrices) ||
+                    (engine == "condensed" && kernel != Kernel::Spgemm))
+                    continue;
+                runs.push_back({m, kernel, e});
+            }
+    return runs;
+}
+
+class GoldenEngineReports : public ::testing::TestWithParam<GoldenRun>
+{
+};
+
+} // namespace
+
+TEST_P(GoldenReports, ByteIdenticalAndZeroToleranceDiff)
+{
+    const GoldenCase &matrix = kMatrices[GetParam().first];
+    const Kernel kernel = core::kKernels[GetParam().second];
+    expectGoldenReport(matrix, kernel, "seq",
+                       std::string(matrix.matrixName) + "-" +
+                           kernelName(kernel) + ".report.json");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     MatrixKernel, GoldenReports,
     ::testing::Values(std::pair<unsigned, unsigned>{0, 0},
@@ -149,6 +236,23 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<unsigned, unsigned>{2, 0},
                       std::pair<unsigned, unsigned>{2, 1},
                       std::pair<unsigned, unsigned>{2, 2}));
+
+TEST_P(GoldenEngineReports, ByteIdenticalAndZeroToleranceDiff)
+{
+    const GoldenRun &run = GetParam();
+    expectGoldenReport(kMatrices[run.matrix], run.kernel,
+                       kEngines[run.engine],
+                       std::string(kMatrices[run.matrix].matrixName) +
+                           "-" + kernelName(run.kernel) + "-" +
+                           kEngines[run.engine] + ".report.json");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MatrixKernelEngine, GoldenEngineReports,
+    ::testing::ValuesIn(engineRuns()),
+    [](const ::testing::TestParamInfo<GoldenRun> &info) {
+        return info.param.name();
+    });
 
 TEST(ConformanceCorpus, EveryCommittedCaseReplaysClean)
 {
