@@ -24,6 +24,30 @@ spanBlocks(std::uint64_t begin, std::uint64_t end)
     return (end - 1) / elemsPerBlock - begin / elemsPerBlock + 1;
 }
 
+/**
+ * Iteration 0 of a transposition or SpMV: one stream per non-empty line
+ * of a compressed matrix, in line order. auxIndex keeps the local line,
+ * whose two framing pointer blocks gate the stream's assignment.
+ */
+std::vector<StreamDesc>
+lineStreams(const std::vector<std::uint32_t> &ptr, StreamSource source,
+            Index fixed_offset)
+{
+    std::vector<StreamDesc> streams;
+    for (Index line = 0; line + 1 < ptr.size(); ++line) {
+        if (ptr[line + 1] == ptr[line])
+            continue;
+        StreamDesc desc;
+        desc.source = source;
+        desc.begin = ptr[line];
+        desc.end = ptr[line + 1];
+        desc.fixedIndex = fixed_offset + line;
+        desc.auxIndex = line;
+        streams.push_back(desc);
+    }
+    return streams;
+}
+
 } // namespace
 
 void
@@ -98,9 +122,7 @@ Pu::Pu(std::string name, const PuConfig &config,
       output_(config_, &map_),
       stats_(name_)
 {
-    for (Index r = 0; r < csr_->rows; ++r)
-        if (csr_->ptr[r + 1] > csr_->ptr[r])
-            neRows_.push_back(r);
+    streams_ = lineStreams(csr_->ptr, StreamSource::CsrRow, rowOffset_);
     commonInit();
 }
 
@@ -125,9 +147,7 @@ Pu::Pu(std::string name, const PuConfig &config,
       stats_(name_)
 {
     menda_assert(x->size() == csc_->cols, "SpMV vector length mismatch");
-    for (Index c = 0; c < csc_->cols; ++c)
-        if (csc_->ptr[c + 1] > csc_->ptr[c])
-            neRows_.push_back(c); // non-empty columns in SpMV mode
+    streams_ = lineStreams(csc_->ptr, StreamSource::CscColumn, 0);
     commonInit();
 }
 
@@ -160,47 +180,69 @@ Pu::Pu(std::string name, const PuConfig &config,
     // non-zero of the A slice, in row-major order (exactness depends on
     // this ordinal order; DESIGN.md Sec. 9).
     spgemmStreams_ = spgemm::buildStreams(*a_slice, *b);
-    huffman_ =
+    // The only read of the scheduler: uniform is one leaf per stream
+    // merged without deferral (ceil(n / l) rounds per iteration);
+    // Huffman packs up to condenseCap streams per leaf and defers large
+    // leaves (DESIGN.md Sec. 15). Either way the PU runs a merge plan.
+    const bool huffman =
         config_.spgemm.scheduler == spgemm::SpgemmScheduler::Huffman;
-    if (huffman_) {
-        condensedLeaves_ = spgemm::condenseStreams(
-            spgemmStreams_, config_.spgemm.condenseCap);
-        streamElemPrefix_.resize(spgemmStreams_.size() + 1, 0);
-        for (std::size_t t = 0; t < spgemmStreams_.size(); ++t)
-            streamElemPrefix_[t + 1] =
-                streamElemPrefix_[t] + spgemmStreams_[t].elements();
-        std::vector<std::uint64_t> leaf_sizes;
-        leaf_sizes.reserve(condensedLeaves_.size());
-        for (const spgemm::CondensedLeaf &leaf : condensedLeaves_)
-            leaf_sizes.push_back(leaf.elements);
-        mergePlan_ = spgemm::planMergeTree(leaf_sizes, config_.leaves);
-        // One pre-carved descriptor per condensed leaf. Single-stream
-        // leaves keep the plain scaled-B-row fetch path; packs fetch
-        // through the virtual concatenated element space. Either way
-        // auxIndex names the leaf, for assignment gating.
-        leafDescs_.reserve(condensedLeaves_.size());
-        for (std::size_t i = 0; i < condensedLeaves_.size(); ++i) {
-            const spgemm::CondensedLeaf &leaf = condensedLeaves_[i];
-            StreamDesc desc;
-            if (leaf.streamCount == 1) {
-                const spgemm::PartialProductStream &s =
-                    spgemmStreams_[leaf.firstStream];
-                desc.source = StreamSource::ScaledBRow;
-                desc.begin = s.begin;
-                desc.end = s.end;
-                desc.fixedIndex = s.outRow;
-                desc.scale = s.scale;
-            } else {
-                desc.source = StreamSource::CondensedLeaf;
-                desc.begin = streamElemPrefix_[leaf.firstStream];
-                desc.end =
-                    streamElemPrefix_[leaf.firstStream + leaf.streamCount];
-            }
-            desc.auxIndex = static_cast<Index>(i);
-            leafDescs_.push_back(desc);
+    condensedLeaves_ = spgemm::condenseStreams(
+        spgemmStreams_, huffman ? config_.spgemm.condenseCap : 1);
+    streamElemPrefix_.resize(spgemmStreams_.size() + 1, 0);
+    for (std::size_t t = 0; t < spgemmStreams_.size(); ++t)
+        streamElemPrefix_[t + 1] =
+            streamElemPrefix_[t] + spgemmStreams_[t].elements();
+    std::vector<std::uint64_t> leaf_sizes;
+    leaf_sizes.reserve(condensedLeaves_.size());
+    for (const spgemm::CondensedLeaf &leaf : condensedLeaves_)
+        leaf_sizes.push_back(leaf.elements);
+    mergePlan_ =
+        spgemm::planMergeTree(leaf_sizes, config_.leaves, huffman);
+    // One pre-carved descriptor per condensed leaf. Single-stream
+    // leaves keep the plain scaled-B-row fetch path; packs fetch
+    // through the virtual concatenated element space. Either way
+    // auxIndex names the leaf, for assignment gating.
+    leafDescs_.reserve(condensedLeaves_.size());
+    for (std::size_t i = 0; i < condensedLeaves_.size(); ++i) {
+        const spgemm::CondensedLeaf &leaf = condensedLeaves_[i];
+        StreamDesc desc;
+        if (leaf.streamCount == 1) {
+            const spgemm::PartialProductStream &s =
+                spgemmStreams_[leaf.firstStream];
+            desc.source = StreamSource::ScaledBRow;
+            desc.begin = s.begin;
+            desc.end = s.end;
+            desc.fixedIndex = s.outRow;
+            desc.scale = s.scale;
+        } else {
+            desc.source = StreamSource::CondensedLeaf;
+            desc.begin = streamElemPrefix_[leaf.firstStream];
+            desc.end =
+                streamElemPrefix_[leaf.firstStream + leaf.streamCount];
         }
+        desc.auxIndex = static_cast<Index>(i);
+        leafDescs_.push_back(desc);
     }
     commonInit();
+}
+
+bool
+Pu::streamReady(const StreamDesc &desc) const
+{
+    switch (desc.source) {
+      case StreamSource::CsrRow:
+      case StreamSource::CscColumn:
+        // A line's bounds are the two pointer entries framing it;
+        // padding is an empty stream and waits on nothing.
+        return desc.empty() || (ptrArrived_[desc.auxIndex / 16] &&
+                                ptrArrived_[(desc.auxIndex + 1) / 16]);
+      case StreamSource::ScaledBRow:
+      case StreamSource::CondensedLeaf:
+        return spgemmLeafReady(desc.auxIndex);
+      case StreamSource::Coo:
+        return true; // a run carries explicit bounds
+    }
+    menda_panic("unreachable stream source");
 }
 
 bool
@@ -246,17 +288,29 @@ Pu::condensedChunk(const StreamDesc &desc, std::uint64_t cursor,
 void
 Pu::buildIterationStreams()
 {
+    const unsigned l = config_.leaves;
+    if (mergePlan_.iterations.empty()) {
+        // No plan (transposition, SpMV, a measurement window): streams_
+        // in ordinal order, merged in ceil(n / l) rounds.
+        roundsTotal_ = (streams_.size() + l - 1) / l;
+        finalIteration_ = roundsTotal_ <= 1;
+        iterStreams_ = std::move(streams_);
+        iterStreams_.resize(roundsTotal_ * l);
+        return;
+    }
+    // A SpGEMM plan lays out every round: leaves carved from A and runs
+    // the previous iteration spilled (still in streams_).
     const spgemm::MergeIteration &it = mergePlan_.iterations[iteration_];
     roundsTotal_ = it.rounds.size();
     finalIteration_ = iteration_ + 1 == mergePlan_.iterations.size();
-    iterStreams_.assign(roundsTotal_ * config_.leaves, StreamDesc{});
+    iterStreams_.assign(roundsTotal_ * l, StreamDesc{});
     for (std::size_t r = 0; r < it.rounds.size(); ++r) {
         const spgemm::MergeRound &round = it.rounds[r];
-        menda_assert(round.inputs.size() <= config_.leaves,
+        menda_assert(round.inputs.size() <= l,
                      "merge-tree round fan-in exceeds tree width");
         for (std::size_t s = 0; s < round.inputs.size(); ++s) {
             const spgemm::StreamRef &ref = round.inputs[s];
-            iterStreams_[r * config_.leaves + s] =
+            iterStreams_[r * l + s] =
                 ref.kind == spgemm::StreamRef::Kind::Leaf
                     ? leafDescs_[ref.index]
                     : streams_[ref.index];
@@ -274,69 +328,10 @@ Pu::start()
     setupIteration();
 }
 
-StreamDesc
-Pu::streamForOrdinal(std::uint64_t ordinal) const
-{
-    StreamDesc desc;
-    if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_) {
-        // Huffman: every iteration's slot table is pre-built from the
-        // merge-tree plan, padding included, so the shared
-        // ordinal = round * leaves + slot contract holds unchanged.
-        return iterStreams_[ordinal];
-    }
-    if (iteration_ == 0) {
-        if (kernel_ == Kernel::Spgemm) {
-            const spgemm::PartialProductStream &s =
-                spgemmStreams_[ordinal];
-            desc.source = StreamSource::ScaledBRow;
-            desc.begin = s.begin;
-            desc.end = s.end;
-            desc.fixedIndex = s.outRow; // local output row
-            desc.scale = s.scale;
-            desc.auxIndex = s.bRow;
-            return desc;
-        }
-        const Index line = neRows_[ordinal];
-        if (kernel_ == Kernel::Transpose) {
-            desc.source = StreamSource::CsrRow;
-            desc.begin = csr_->ptr[line];
-            desc.end = csr_->ptr[line + 1];
-            desc.fixedIndex = rowOffset_ + line;
-        } else {
-            desc.source = StreamSource::CscColumn;
-            desc.begin = csc_->ptr[line];
-            desc.end = csc_->ptr[line + 1];
-            desc.fixedIndex = line;
-        }
-    } else {
-        desc = streams_[ordinal];
-    }
-    return desc;
-}
-
-std::uint64_t
-Pu::streamCount() const
-{
-    if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_)
-        return iterStreams_.size();
-    if (iteration_ != 0)
-        return streams_.size();
-    return kernel_ == Kernel::Spgemm ? spgemmStreams_.size()
-                                     : neRows_.size();
-}
-
 void
 Pu::setupIteration()
 {
-    if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_) {
-        // Non-uniform rounds come from the merge-tree plan; the slot
-        // table is padded so the shared ordinal contract still holds.
-        buildIterationStreams();
-    } else {
-        const std::uint64_t n = streamCount();
-        roundsTotal_ = (n + config_.leaves - 1) / config_.leaves;
-        finalIteration_ = roundsTotal_ <= 1;
-    }
+    buildIterationStreams();
     if (windowMode_) {
         // A measurement window replays a SUFFIX of the parent's
         // iteration; whether the output/reduction path runs in final
@@ -421,9 +416,11 @@ Pu::setupIteration()
             // SpMV: the auxiliary pointer array marks which pointer
             // blocks contain non-empty columns; only those are fetched
             // (Sec. 3.6). The aux array itself is read first.
-            for (Index c : neRows_) {
-                neededPtrBlocks_.push_back(c / 16);
-                neededPtrBlocks_.push_back((c + 1) / 16);
+            for (const StreamDesc &desc : iterStreams_) {
+                if (desc.empty())
+                    continue; // padding
+                neededPtrBlocks_.push_back(desc.auxIndex / 16);
+                neededPtrBlocks_.push_back((desc.auxIndex + 1) / 16);
             }
             std::sort(neededPtrBlocks_.begin(), neededPtrBlocks_.end());
             neededPtrBlocks_.erase(std::unique(neededPtrBlocks_.begin(),
@@ -445,19 +442,16 @@ Pu::setupIteration()
         for (unsigned b = 0; b < config_.leaves; ++b)
             assignQueue_.push_back(b);
 
-    // Spill-traffic ledger (SpGEMM, both schedulers): the COO runs this
+    // Spill-traffic ledger (every SpGEMM plan): the COO runs this
     // iteration consumes were spilled by the previous one; their
     // read-back blocks are counted analytically (3 arrays per span) so
     // the metric is identical across simulation tiers and thread
     // counts. The write side lands in finishIteration.
-    if (kernel_ == Kernel::Spgemm && !windowMode_) {
+    if (!mergePlan_.iterations.empty()) {
         std::uint64_t read_blocks = 0;
-        const std::uint64_t count = streamCount();
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const StreamDesc d = streamForOrdinal(i);
+        for (const StreamDesc &d : iterStreams_)
             if (d.source == StreamSource::Coo)
                 read_blocks += spanBlocks(d.begin, d.end) * 3;
-        }
         spilledReadBlocks_.push_back(read_blocks);
         spilledWriteBlocks_.push_back(0);
     }
@@ -668,7 +662,6 @@ Pu::noteBufferActivity(unsigned slot)
 void
 Pu::doAssignments()
 {
-    const std::uint64_t n = streamCount();
     unsigned made = 0;
     std::size_t examined = 0;
     while (!assignQueue_.empty() && made < 2 && examined < 8) {
@@ -690,54 +683,13 @@ Pu::doAssignments()
             ++examined;
             continue;
         }
-        const std::uint64_t ordinal =
-            bufferNextRound_[b] * config_.leaves + b;
-        StreamDesc desc;
-        if (ordinal < n) {
-            if (pointerPhase_) {
-                bool bounds_ready;
-                if (kernel_ == Kernel::Spgemm && huffman_ && !windowMode_) {
-                    // Huffman: the slot's entry is a pre-carved leaf
-                    // descriptor (or empty padding). A leaf becomes
-                    // assignable once the metadata of every packed
-                    // sub-stream has arrived; padding gates on nothing.
-                    const StreamDesc &entry = iterStreams_[ordinal];
-                    bounds_ready =
-                        entry.source != StreamSource::ScaledBRow &&
-                                entry.source != StreamSource::CondensedLeaf
-                            ? true
-                            : spgemmLeafReady(entry.auxIndex);
-                } else if (kernel_ == Kernel::Spgemm) {
-                    // A stream exists once the controller holds the A
-                    // row-pointer blocks framing its row, the A index
-                    // and value blocks carrying its B row and scale,
-                    // and the B row-pointer blocks framing its bounds.
-                    const spgemm::PartialProductStream &s =
-                        spgemmStreams_[ordinal];
-                    const Index r = s.outRow;
-                    const Index k = s.bRow;
-                    bounds_ready =
-                        ptrArrived_[r / 16] &&
-                        ptrArrived_[(r + 1) / 16] &&
-                        aIdxArrived_[ordinal / 16] &&
-                        aValArrived_[ordinal / 16] &&
-                        bPtrArrived_[k / 16] &&
-                        bPtrArrived_[(k + 1) / 16];
-                } else {
-                    const Index line = neRows_[ordinal];
-                    bounds_ready = ptrArrived_[line / 16] &&
-                                   ptrArrived_[(line + 1) / 16];
-                }
-                if (!bounds_ready) {
-                    // Bounds not here yet; give others a chance.
-                    assignQueue_.pop_front();
-                    assignQueue_.push_back(b);
-                    continue;
-                }
-            }
-            desc = streamForOrdinal(ordinal);
-        } else {
-            desc.begin = desc.end = 0; // padding: empty stream
+        const StreamDesc &desc =
+            iterStreams_[bufferNextRound_[b] * config_.leaves + b];
+        if (pointerPhase_ && !streamReady(desc)) {
+            // Bounds not here yet; give others a chance.
+            assignQueue_.pop_front();
+            assignQueue_.push_back(b);
+            continue;
         }
         buffers_[b]->assign(desc);
         ++bufferNextRound_[b];
@@ -858,8 +810,7 @@ Pu::finishIteration()
 
     // Non-final SpGEMM iterations store nothing but the COO ping-pong
     // spill, so the iteration's write blocks ARE its spill writes.
-    if (kernel_ == Kernel::Spgemm && !windowMode_ && !finalIteration_ &&
-        iteration_ < spilledWriteBlocks_.size())
+    if (!finalIteration_ && iteration_ < spilledWriteBlocks_.size())
         spilledWriteBlocks_[iteration_] = st.writeBlocks;
 
     if (trace_)
@@ -1008,8 +959,8 @@ Pu::tick()
     doStorePort();
 
     bool ctrl_drained = true;
-    if (pointerPhase_ && kernel_ == Kernel::Spgemm && huffman_) {
-        // Huffman defers leaves past iteration 0, but the controller
+    if (pointerPhase_ && kernel_ == Kernel::Spgemm) {
+        // A plan may defer leaves past iteration 0, but the controller
         // still owns every metadata fetch and later-iteration leaf
         // assignments do not re-check arrival — hold iteration 0 open
         // until the metadata stream has fully landed.

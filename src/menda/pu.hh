@@ -11,7 +11,9 @@
  *   - one prefetch buffer per stream slot (prefetch_buffer.hh),
  *   - an output unit behind the root PE (output_unit.hh),
  *   - a controller FSM that walks pointer arrays, carves sorted streams,
- *     and assigns them to prefetch buffers round by round,
+ *     and assigns them to prefetch buffers round by round from one
+ *     padded slot table per iteration (ordinal = round * leaves +
+ *     slot), which the fast tiers and measurement windows read too,
  *   - a memory interface unit: the read queue (with request coalescing)
  *     and write queue in front of a rank-private DDR4 controller.
  *
@@ -236,7 +238,6 @@ class Pu : public Ticked
     Packet readElement(const StreamDesc &desc, std::uint64_t element) const;
     void handleResponse(const mem::MemRequest &req);
     void markControllerArrival(Addr addr);
-    std::uint64_t streamCount() const;
     void commonInit();
     void doAssignments();
     void doLoadPort();
@@ -245,12 +246,15 @@ class Pu : public Ticked
     void doRootPop();
     void pointerEngine();
     void noteBufferActivity(unsigned slot);
-    StreamDesc streamForOrdinal(std::uint64_t ordinal) const;
 
-    // --- SpGEMM Huffman scheduler (DESIGN.md §15) ---
-
-    /** Build iterStreams_/roundsTotal_/finalIteration_ from mergePlan_. */
+    /** Fill iterStreams_/roundsTotal_/finalIteration_ for iteration_:
+     *  from mergePlan_ if the PU has one, else from streams_. */
     void buildIterationStreams();
+
+    /** Pointer-phase assignment gate, keyed on the stream's source. */
+    bool streamReady(const StreamDesc &desc) const;
+
+    // --- SpGEMM merge plan (DESIGN.md §15) ---
 
     /** All metadata blocks of a condensed leaf's sub-streams arrived? */
     bool spgemmLeafReady(std::uint64_t leaf_index) const;
@@ -342,7 +346,11 @@ class Pu : public Ticked
     unsigned iteration_ = 0;
     bool finalIteration_ = false;
     int srcCoo_ = 0;
-    std::vector<StreamDesc> streams_;   ///< this iteration's inputs
+    /** Plan-less table source: iteration 0's line streams, the last
+     *  iteration's runs, or a window's suffix (plan Runs index it). */
+    std::vector<StreamDesc> streams_;
+    /** Padded slot table: ordinal = round * leaves + slot. */
+    std::vector<StreamDesc> iterStreams_;
     std::vector<std::uint64_t> bufferNextRound_;
     std::uint64_t roundsTotal_ = 0;
     std::uint64_t roundsBeforeIteration_ = 0; ///< root EOLs at setup
@@ -365,7 +373,6 @@ class Pu : public Ticked
     std::vector<std::uint64_t> neededPtrBlocks_;
     std::deque<Addr> pendingPtrLoads_;
     std::unordered_map<Addr, Cycle> ptrInFlight_; ///< for link retries
-    std::vector<Index> neRows_;   ///< non-empty rows (cols in SpMV mode)
 
     // SpGEMM controller state (iteration 0): the stream table built from
     // the A slice, the ordered list of controller metadata block loads
@@ -377,20 +384,16 @@ class Pu : public Ticked
     std::uint64_t ctrlNextIssue_ = 0;
     std::vector<bool> aIdxArrived_, aValArrived_, bPtrArrived_;
 
-    // SpGEMM Huffman scheduler state (empty under the uniform oracle).
-    // streamElemPrefix_[t] = cumulative elements of streams [0, t); a
-    // condensed leaf's virtual element space is the prefix range of its
-    // packed streams. iterStreams_ is the current iteration's padded
-    // slot table — ordinal = round * leaves + slot, the same contract
-    // the uniform controller and both fast tiers share.
-    bool huffman_ = false;
+    // SpGEMM merge plan (either scheduler). streamElemPrefix_[t] =
+    // cumulative elements of streams [0, t); a condensed leaf's virtual
+    // element space is the prefix range of its packed streams. A
+    // measurement window keeps the leaves, not the plan.
     std::vector<spgemm::CondensedLeaf> condensedLeaves_;
     std::vector<std::uint64_t> streamElemPrefix_;
     spgemm::MergeTreePlan mergePlan_;
     std::vector<StreamDesc> leafDescs_;
-    std::vector<StreamDesc> iterStreams_;
 
-    // Per-iteration spill traffic (SpGEMM only, both schedulers).
+    // Per-iteration spill traffic (every SpGEMM plan).
     std::vector<std::uint64_t> spilledReadBlocks_, spilledWriteBlocks_;
 
     // Response path: DRAM-clock callback -> PU-clock consumption.

@@ -62,8 +62,9 @@ struct PuConfig
 
     /**
      * SpGEMM merge scheduling (SpGEMM only): uniform ceil(n/l) rounds
-     * (the oracle) or the condensed/Huffman planner of
-     * spgemm::planMergeTree. Outputs are bitwise identical either way.
+     * or condensed leaves with Huffman-style deferral. Read once, by
+     * the SpGEMM Pu constructor, to build its spgemm::planMergeTree
+     * plan. Outputs are bitwise identical either way.
      */
     spgemm::SpgemmConfig spgemm;
 };

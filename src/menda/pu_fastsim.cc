@@ -76,10 +76,9 @@ Pu::Pu(const Pu &parent, std::vector<StreamDesc> streams, bool final_iter,
     cooSrc_[0] = &parent.coo_[0];
     cooSrc_[1] = &parent.coo_[1];
     streams_ = std::move(streams);
-    // Huffman-scheduled SpGEMM suffixes may carry CondensedLeaf
-    // descriptors; their virtual-to-physical mapping rides along.
-    // huffman_ itself stays false: a window replays explicit streams
-    // and never consults the merge-tree plan.
+    // SpGEMM suffixes may carry CondensedLeaf descriptors; their
+    // virtual-to-physical mapping rides along. The merge plan does not:
+    // a window's slot table is its explicit streams.
     spgemmStreams_ = parent.spgemmStreams_;
     streamElemPrefix_ = parent.streamElemPrefix_;
     condensedLeaves_ = parent.condensedLeaves_;
@@ -92,9 +91,8 @@ Pu::startWindow()
     menda_assert(windowMode_ && phase_ == Phase::Idle,
                  "startWindow: not an idle window PU");
     phase_ = Phase::Running;
-    // Window streams are explicit suffix descriptors: resolve ordinals
-    // from streams_ and skip the pointer walk (iteration 0's stream
-    // bounds are already baked into the descriptors).
+    // Window streams are explicit suffix descriptors: skip the pointer
+    // walk (iteration 0's stream bounds are already baked into them).
     iteration_ = 1;
     srcCoo_ = 0;
     setupIteration();
@@ -185,7 +183,6 @@ std::uint64_t
 Pu::functionalMergeRounds(std::uint64_t &write_blocks,
                           const CheckpointFn &checkpoint)
 {
-    const std::uint64_t n = streamCount();
     const unsigned leaves = config_.leaves;
     const MergeKey key = mergeKeyFor(kernel_);
     // SpMV reduces in every iteration; SpGEMM only in the final one; a
@@ -204,11 +201,8 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
     // Pre-size the merged arrays: vector growth inside the per-element
     // accept path is pure overhead at this tier.
     std::uint64_t total = 0;
-    for (std::uint64_t ord = 0; ord < n; ++ord) {
-        const StreamDesc d = streamForOrdinal(ord);
-        if (d.end > d.begin)
-            total += d.end - d.begin;
-    }
+    for (const StreamDesc &d : iterStreams_)
+        total += d.length();
     output_.reserveMerged(total);
 
     // Tournament (loser) tree on (merge key, slot index): a PE tie pops
@@ -269,9 +263,7 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
         std::uint64_t round_elems = 0;
         for (unsigned s = 0; s < leaves; ++s) {
             Slot &slot = slots[s];
-            const std::uint64_t ordinal = base + s;
-            slot.desc = ordinal < n ? streamForOrdinal(ordinal)
-                                    : StreamDesc{};
+            slot.desc = iterStreams_[base + s];
             slot.cursor = slot.desc.begin;
             if (slot.cursor < slot.desc.end) {
                 round_elems += slot.desc.end - slot.desc.begin;
@@ -279,23 +271,22 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
                 ext.push_back(makeEntry(mergeKey(slot.cur, key), s));
             }
         }
-        // Slot-aligned remaining work: the current round's live cursors
-        // (exhausted slots become padding), then every later round's
-        // streams untouched.
-        const SuffixFn suffix = [&]() {
-            std::vector<StreamDesc> out;
-            out.reserve(leaves +
-                        (n > base + leaves ? n - base - leaves : 0));
+        // Slot-aligned remaining work, the one suffix every checkpoint
+        // hands a window: the slot table from this round on, each of
+        // this round's slots resumed at begin_of(slot) (exhausted slots
+        // become padding) and every later round untouched.
+        const auto remaining = [&](const auto &begin_of) {
+            std::vector<StreamDesc> out(iterStreams_.begin() + base,
+                                        iterStreams_.end());
             for (unsigned t = 0; t < leaves; ++t) {
-                StreamDesc d = slots[t].desc;
-                d.begin = slots[t].cursor;
-                if (d.begin >= d.end)
-                    d = StreamDesc{};
-                out.push_back(d);
+                out[t].begin = begin_of(t);
+                if (out[t].begin >= out[t].end)
+                    out[t] = StreamDesc{};
             }
-            for (std::uint64_t ord = base + leaves; ord < n; ++ord)
-                out.push_back(streamForOrdinal(ord));
             return out;
+        };
+        const SuffixFn suffix = [&] {
+            return remaining([&](unsigned t) { return slots[t].cursor; });
         };
         // SpMV reduces on the row alone and every stream's rows
         // strictly increase, so for any output row the contributions
@@ -344,26 +335,15 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
                 if (checkpoint) {
                     if (consumed >= until_checkpoint) {
                         until_checkpoint = checkpointStride;
-                        const SuffixFn frontier = [&, r]() {
-                            std::vector<StreamDesc> out;
-                            out.reserve(
-                                leaves + (n > base + leaves
-                                              ? n - base - leaves
-                                              : 0));
-                            for (unsigned t = 0; t < leaves; ++t) {
-                                StreamDesc d = slots[t].desc;
-                                while (d.begin < d.end &&
-                                       readElement(d, d.begin).row <=
-                                           r)
-                                    ++d.begin;
-                                if (d.begin >= d.end)
-                                    d = StreamDesc{};
-                                out.push_back(d);
-                            }
-                            for (std::uint64_t ord = base + leaves;
-                                 ord < n; ++ord)
-                                out.push_back(streamForOrdinal(ord));
-                            return out;
+                        const SuffixFn frontier = [&, r] {
+                            return remaining([&](unsigned t) {
+                                const StreamDesc &d = slots[t].desc;
+                                std::uint64_t at = d.begin;
+                                while (at < d.end &&
+                                       readElement(d, at).row <= r)
+                                    ++at;
+                                return at;
+                            });
                         };
                         checkpoint(retired, frontier);
                     } else {
@@ -423,25 +403,13 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
                 ++retired;
                 if (checkpoint && --until_checkpoint == 0) {
                     until_checkpoint = checkpointStride;
-                    const SuffixFn frontier = [&, i]() {
+                    const SuffixFn frontier = [&, i] {
                         std::vector<std::uint64_t> consumed(leaves, 0);
                         for (std::size_t j = 0; j <= i; ++j)
                             ++consumed[placed_slot[j]];
-                        std::vector<StreamDesc> out;
-                        out.reserve(leaves + (n > base + leaves
-                                                  ? n - base - leaves
-                                                  : 0));
-                        for (unsigned t = 0; t < leaves; ++t) {
-                            StreamDesc d = slots[t].desc;
-                            d.begin += consumed[t];
-                            if (d.begin >= d.end)
-                                d = StreamDesc{};
-                            out.push_back(d);
-                        }
-                        for (std::uint64_t ord = base + leaves;
-                             ord < n; ++ord)
-                            out.push_back(streamForOrdinal(ord));
-                        return out;
+                        return remaining([&](unsigned t) {
+                            return slots[t].desc.begin + consumed[t];
+                        });
                     };
                     checkpoint(retired, frontier);
                 }
@@ -547,10 +515,8 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
 std::uint64_t
 Pu::functionalReadBlockEstimate() const
 {
-    const std::uint64_t n = streamCount();
     std::uint64_t blocks = 0;
-    for (std::uint64_t ordinal = 0; ordinal < n; ++ordinal) {
-        const StreamDesc desc = streamForOrdinal(ordinal);
+    for (const StreamDesc &desc : iterStreams_) {
         if (desc.source == StreamSource::CondensedLeaf) {
             // Virtual pack: sum the physical B spans of every
             // sub-stream overlapping [begin, end) — a suffix may start

@@ -21,7 +21,7 @@ enum class StreamSource : std::uint8_t
     CscColumn, ///< SpMV iteration 0: one column of the input CSC slice
     ScaledBRow,///< SpGEMM iteration 0: row of B scaled by one A non-zero
     /**
-     * SpGEMM Huffman scheduler: a pack of >= 2 consecutive scaled-B-row
+     * SpGEMM Huffman plan: a pack of >= 2 consecutive scaled-B-row
      * streams with strictly increasing output rows, fetched as one
      * virtual stream. [begin, end) addresses the pack's concatenated
      * element space; the PU maps virtual offsets back to B's arrays
@@ -40,9 +40,10 @@ struct StreamDesc
                              ///< ScaledBRow: the LOCAL output row
     int cooBuffer = 0;       ///< Coo: which ping-pong buffer (0/1)
     Value scale = 1.0f;      ///< ScaledBRow: the A(i, k) multiplier
-    Index auxIndex = 0;      ///< ScaledBRow: the source B row k (uniform
-                             ///< scheduler) or the condensed-leaf index
-                             ///< (Huffman); CondensedLeaf: leaf index
+    Index auxIndex = 0;      ///< CsrRow/CscColumn: the LOCAL line whose
+                             ///< pointer blocks gate assignment;
+                             ///< ScaledBRow/CondensedLeaf: the
+                             ///< condensed-leaf index
 
     std::uint64_t length() const { return end - begin; }
     bool empty() const { return begin == end; }

@@ -109,16 +109,17 @@ condenseStreams(const std::vector<PartialProductStream> &streams,
 }
 
 MergeTreePlan
-planMergeTree(const std::vector<std::uint64_t> &leaf_sizes, unsigned leaves)
+planMergeTree(const std::vector<std::uint64_t> &leaf_sizes, unsigned leaves,
+              bool defer)
 {
     menda_assert(leaves >= 2, "planMergeTree: tree needs >= 2 leaves");
     MergeTreePlan plan;
     plan.leaves = leaves;
     const std::uint64_t l = leaves;
 
-    // Iteration count of the uniform controller from the same leaf
+    // Iteration count of the no-deferral plan from the same leaf
     // count: repeated ceil-division by l. Deferral below never adds an
-    // iteration, so the Huffman plan matches this depth exactly.
+    // iteration, so the deferring plan matches this depth exactly.
     unsigned total_iters = 1;
     for (std::uint64_t n = leaf_sizes.size(); n > l; n = (n + l - 1) / l)
         ++total_iters;
@@ -175,7 +176,7 @@ planMergeTree(const std::vector<std::uint64_t> &leaf_sizes, unsigned leaves)
         deferred.insert(static_cast<std::int64_t>(m));
 
         std::vector<std::uint64_t> cands;
-        for (std::uint64_t i = 0; i < m; ++i)
+        for (std::uint64_t i = 0; defer && i < m; ++i)
             if (items[i].ref.kind == StreamRef::Kind::Leaf)
                 cands.push_back(i);
         std::stable_sort(cands.begin(), cands.end(),

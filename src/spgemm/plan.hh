@@ -19,6 +19,8 @@
  *    streams into one sorted run spilled to the DRAM-resident COO
  *    ping-pong buffer, and the runs are re-fed through the prefetch
  *    buffers as the next iteration's streams until one run remains.
+ *    Both schedulers are a MergeTreePlan (planMergeTree): the uniform
+ *    one is the no-deferral plan over one leaf per stream.
  */
 
 #ifndef MENDA_SPGEMM_PLAN_HH
@@ -36,9 +38,9 @@ namespace menda::spgemm
 /** Scheduler for the multi-round SpGEMM merge decomposition. */
 enum class SpgemmScheduler : std::uint8_t
 {
-    /** ceil(n / l) equal rounds per iteration (planMergeRounds). */
+    /** One leaf per stream, ceil(n / l) rounds per iteration. */
     Uniform,
-    /** Condensed leaves + size-aware deferral (planMergeTree). */
+    /** Condensed leaves + size-aware deferral. */
     Huffman,
 };
 
@@ -127,14 +129,10 @@ struct MergeSchedule
 /**
  * Decompose a merge of @p fan_in sorted streams totalling
  * @p partial_products elements on an @p leaves-way tree under the
- * *uniform* scheduler (SpgemmScheduler::Uniform, the differential
- * oracle): ceil(n / l) rounds per iteration, every round output
- * becomes a next-iteration stream, and the iteration whose fan-in fits
- * a single round is final. Every non-final iteration therefore spills
- * the slice's full element set. The Huffman scheduler (planMergeTree)
- * instead defers large streams to late iterations and spills only what
- * it actually merges early; the PU controller honors whichever plan
- * PuConfig::spgemm.scheduler selects.
+ * *uniform* scheduler (SpgemmScheduler::Uniform): ceil(n / l) rounds
+ * per iteration, every round output becomes a next-iteration stream,
+ * and the iteration whose fan-in fits a single round is final. Every
+ * non-final iteration therefore spills the slice's full element set.
  */
 MergeSchedule planMergeRounds(std::uint64_t fan_in, unsigned leaves,
                               std::uint64_t partial_products);
@@ -190,10 +188,10 @@ struct MergeIteration
 };
 
 /**
- * Size-aware merge schedule (SpgemmScheduler::Huffman). Inputs stay in
+ * A merge schedule, under either scheduler. Inputs stay in
  * stream-ordinal order — every round merges a *contiguous* ordinal
  * window, which is what keeps equal-key FP accumulation order, and so
- * the CSR bytes, identical to the uniform plan and spgemmHeapMerge.
+ * the CSR bytes, identical across schedules and to spgemmHeapMerge.
  */
 struct MergeTreePlan
 {
@@ -206,16 +204,19 @@ struct MergeTreePlan
 
 /**
  * Plan a merge of @p leaf_sizes.size() condensed leaves on an
- * @p leaves-way tree, Huffman-style: within each non-final iteration
- * the largest leaves that can still be deferred without adding an
- * iteration are pushed to later rounds, so their elements never
- * transit the spill buffer. Runs (prior-iteration outputs) are always
- * consumed the very next iteration — the ping-pong only holds two
- * buffers. The iteration count always equals the uniform plan's, and
- * spilledElements is <= the uniform plan's for the same profile.
+ * @p leaves-way tree. Every iteration merges its items in ceil(m / l)
+ * contiguous rounds until at most l remain; without @p defer that is
+ * the whole plan (SpgemmScheduler::Uniform), and every non-final
+ * iteration spills every element. With @p defer (Huffman), within each
+ * non-final iteration the largest leaves that can still be deferred
+ * without adding an iteration are pushed to later rounds, so their
+ * elements never transit the spill buffer. Runs (prior-iteration
+ * outputs) are always consumed the very next iteration — the ping-pong
+ * only holds two buffers. The iteration count is the same either way,
+ * and deferral never spills more.
  */
 MergeTreePlan planMergeTree(const std::vector<std::uint64_t> &leaf_sizes,
-                            unsigned leaves);
+                            unsigned leaves, bool defer);
 
 } // namespace menda::spgemm
 

@@ -357,7 +357,7 @@ TEST(PlanMergeTree, FuzzedPlansAreValidForests)
                      std::to_string(n) + " leaves=" +
                      std::to_string(leaves));
         const spgemm::MergeTreePlan plan =
-            spgemm::planMergeTree(sizes, leaves);
+            spgemm::planMergeTree(sizes, leaves, /*defer=*/true);
         expectValidMergeForest(plan, sizes, leaves);
 
         const spgemm::MergeSchedule uniform =
@@ -378,7 +378,7 @@ TEST(PlanMergeTree, EdgeProfiles)
             SCOPED_TRACE("n=" + std::to_string(n) + " leaves=" +
                          std::to_string(leaves));
             const spgemm::MergeTreePlan plan =
-                spgemm::planMergeTree(sizes, leaves);
+                spgemm::planMergeTree(sizes, leaves, /*defer=*/true);
             expectValidMergeForest(plan, sizes, leaves);
             EXPECT_EQ(plan.iterations.size(),
                       spgemm::planMergeRounds(n, leaves, 3 * n)
