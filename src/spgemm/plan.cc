@@ -52,31 +52,6 @@ partitionByMergeWork(const sparse::CsrMatrix &a, const sparse::CsrMatrix &b,
     return slices;
 }
 
-MergeSchedule
-planMergeRounds(std::uint64_t fan_in, unsigned leaves,
-                std::uint64_t partial_products)
-{
-    menda_assert(leaves >= 2, "planMergeRounds: tree needs >= 2 leaves");
-    MergeSchedule schedule;
-    schedule.fanIn = fan_in;
-    schedule.leaves = leaves;
-    // Mirror of Pu::setupIteration / finishIteration: each iteration
-    // merges n streams in ceil(n / leaves) rounds; if more than one
-    // round was needed, the round outputs (each a sorted run of the
-    // slice's full element set) become the next iteration's streams.
-    std::uint64_t n = fan_in;
-    do {
-        const std::uint64_t rounds = (n + leaves - 1) / leaves;
-        schedule.roundsPerIteration.push_back(rounds);
-        ++schedule.iterations;
-        if (rounds <= 1)
-            break;
-        schedule.spilledElements += partial_products;
-        n = rounds;
-    } while (true);
-    return schedule;
-}
-
 std::vector<CondensedLeaf>
 condenseStreams(const std::vector<PartialProductStream> &streams,
                 unsigned cap)

@@ -96,47 +96,6 @@ std::vector<sparse::RowSlice> partitionByMergeWork(
     const sparse::CsrMatrix &a, const sparse::CsrMatrix &b,
     unsigned parts);
 
-/** Hierarchical decomposition of one rank's merge. */
-struct MergeSchedule
-{
-    std::uint64_t fanIn = 0; ///< initial sorted streams (slice A NNZ)
-    unsigned leaves = 0;     ///< hardware tree width
-
-    /** PU iterations, including the final (non-spilling) one. */
-    unsigned iterations = 0;
-
-    /** Merge rounds per iteration; the last entry is <= 1. */
-    std::vector<std::uint64_t> roundsPerIteration;
-
-    /**
-     * COO elements written to the intermediate ping-pong buffer and
-     * read back: every non-final iteration spills the slice's full
-     * partial-product set once.
-     */
-    std::uint64_t spilledElements = 0;
-
-    /** Spill traffic in bytes: 3 x 4 B arrays, written and re-read. */
-    std::uint64_t
-    spilledBytes() const
-    {
-        return spilledElements * 12 * 2;
-    }
-
-    /** True if the fan-in does not fit one pass through the tree. */
-    bool multiRound() const { return iterations > 1; }
-};
-
-/**
- * Decompose a merge of @p fan_in sorted streams totalling
- * @p partial_products elements on an @p leaves-way tree under the
- * *uniform* scheduler (SpgemmScheduler::Uniform): ceil(n / l) rounds
- * per iteration, every round output becomes a next-iteration stream,
- * and the iteration whose fan-in fits a single round is final. Every
- * non-final iteration therefore spills the slice's full element set.
- */
-MergeSchedule planMergeRounds(std::uint64_t fan_in, unsigned leaves,
-                              std::uint64_t partial_products);
-
 /**
  * A packed leaf: @p streamCount consecutive partial-product streams
  * starting at @p firstStream whose output rows strictly increase, so

@@ -51,6 +51,52 @@ expectExact(const sparse::CsrMatrix &got, const sparse::CsrMatrix &want)
     ASSERT_EQ(got.val, want.val);
 }
 
+/** The uniform schedule's counts for one rank's merge. */
+struct UniformSchedule
+{
+    /** PU iterations, including the final (non-spilling) one. */
+    unsigned iterations = 0;
+
+    /** Merge rounds per iteration; the last entry is <= 1. */
+    std::vector<std::uint64_t> roundsPerIteration;
+
+    /**
+     * COO elements written to the intermediate ping-pong buffer and
+     * read back: every non-final iteration spills the slice's full
+     * partial-product set once.
+     */
+    std::uint64_t spilledElements = 0;
+
+    /** True if the fan-in does not fit one pass through the tree. */
+    bool multiRound() const { return iterations > 1; }
+};
+
+/**
+ * The independent count model of the uniform schedule (the oracle for
+ * planMergeTree without deferral and for the PU's executed iterations):
+ * each iteration merges n streams in ceil(n / leaves) rounds; if more
+ * than one round was needed, the round outputs (each a sorted run of
+ * the slice's full element set) become the next iteration's streams,
+ * and the iteration whose fan-in fits a single round is final.
+ */
+UniformSchedule
+uniformSchedule(std::uint64_t fan_in, unsigned leaves,
+                std::uint64_t partial_products)
+{
+    UniformSchedule schedule;
+    std::uint64_t n = fan_in;
+    do {
+        const std::uint64_t rounds = (n + leaves - 1) / leaves;
+        schedule.roundsPerIteration.push_back(rounds);
+        ++schedule.iterations;
+        if (rounds <= 1)
+            break;
+        schedule.spilledElements += partial_products;
+        n = rounds;
+    } while (true);
+    return schedule;
+}
+
 } // namespace
 
 TEST(PuSpgemm, SingleRoundExactOnUniform)
@@ -142,7 +188,7 @@ TEST(PuSpgemm, ScheduleMatchesExecutedIterations)
     for (unsigned leaves : {8u, 32u, 1024u}) {
         MendaSystem sys(smallSystem(1, leaves));
         SpgemmResult result = sys.spgemm(a, b);
-        spgemm::MergeSchedule plan = spgemm::planMergeRounds(
+        const UniformSchedule plan = uniformSchedule(
             a.nnz(), leaves, spgemm::partialProductCount(a, b));
         EXPECT_EQ(result.iterations, plan.iterations)
             << "leaves=" << leaves;
@@ -338,9 +384,11 @@ expectValidMergeForest(const spgemm::MergeTreePlan &plan,
 
 TEST(PlanMergeTree, FuzzedPlansAreValidForests)
 {
-    // Random skewed leaf profiles across tree widths: the plan must be
-    // a valid forest, keep the uniform planner's iteration count, and
-    // never spill more than it (the weighted-cost property).
+    // Random skewed leaf profiles across tree widths. Without deferral
+    // the plan must be a valid forest with exactly the count model's
+    // iterations, rounds per iteration and (T - 1) * total spill. With
+    // deferral it must be a valid forest, keep the iteration count, and
+    // never spill more (the weighted-cost property).
     Rng rng(0x5ca1ab1e);
     for (unsigned trial = 0; trial < 300; ++trial) {
         const unsigned leaves = 2u << rng.below(6); // 2..64
@@ -356,14 +404,25 @@ TEST(PlanMergeTree, FuzzedPlansAreValidForests)
         SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" +
                      std::to_string(n) + " leaves=" +
                      std::to_string(leaves));
+        const UniformSchedule count = uniformSchedule(n, leaves, total);
+
+        const spgemm::MergeTreePlan uniform =
+            spgemm::planMergeTree(sizes, leaves, /*defer=*/false);
+        expectValidMergeForest(uniform, sizes, leaves);
+        ASSERT_EQ(uniform.iterations.size(), count.iterations);
+        for (unsigned t = 0; t < count.iterations; ++t)
+            EXPECT_EQ(uniform.iterations[t].rounds.size(),
+                      count.roundsPerIteration[t])
+                << "iteration " << t;
+        EXPECT_EQ(uniform.spilledElements,
+                  (count.iterations - 1) * total);
+        EXPECT_EQ(uniform.spilledElements, count.spilledElements);
+
         const spgemm::MergeTreePlan plan =
             spgemm::planMergeTree(sizes, leaves, /*defer=*/true);
         expectValidMergeForest(plan, sizes, leaves);
-
-        const spgemm::MergeSchedule uniform =
-            spgemm::planMergeRounds(n, leaves, total);
-        EXPECT_EQ(plan.iterations.size(), uniform.iterations);
-        EXPECT_LE(plan.spilledElements, uniform.spilledElements);
+        EXPECT_EQ(plan.iterations.size(), count.iterations);
+        EXPECT_LE(plan.spilledElements, count.spilledElements);
     }
 }
 
@@ -375,14 +434,16 @@ TEST(PlanMergeTree, EdgeProfiles)
               std::uint64_t{leaves} + 1,
               std::uint64_t{leaves} * leaves + 1}) {
             std::vector<std::uint64_t> sizes(n, 3);
-            SCOPED_TRACE("n=" + std::to_string(n) + " leaves=" +
-                         std::to_string(leaves));
-            const spgemm::MergeTreePlan plan =
-                spgemm::planMergeTree(sizes, leaves, /*defer=*/true);
-            expectValidMergeForest(plan, sizes, leaves);
-            EXPECT_EQ(plan.iterations.size(),
-                      spgemm::planMergeRounds(n, leaves, 3 * n)
-                          .iterations);
+            for (const bool defer : {false, true}) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " leaves=" +
+                             std::to_string(leaves) +
+                             " defer=" + std::to_string(defer));
+                const spgemm::MergeTreePlan plan =
+                    spgemm::planMergeTree(sizes, leaves, defer);
+                expectValidMergeForest(plan, sizes, leaves);
+                EXPECT_EQ(plan.iterations.size(),
+                          uniformSchedule(n, leaves, 3 * n).iterations);
+            }
         }
     }
 }
