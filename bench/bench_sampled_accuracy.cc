@@ -32,7 +32,7 @@ using namespace menda;
 struct BenchCase
 {
     std::string name;
-    std::string kernel; ///< transpose | spmv | spgemm
+    core::Kernel kernel = core::Kernel::Transpose;
     sparse::CsrMatrix a;
 };
 
@@ -53,19 +53,26 @@ runMode(const BenchCase &bc, core::SystemConfig config,
     core::MendaSystem sys(config);
     ModeRun out;
     const auto start = std::chrono::steady_clock::now();
-    if (bc.kernel == "transpose") {
+    switch (bc.kernel) {
+      case core::Kernel::Transpose: {
         core::TransposeResult r = sys.transpose(bc.a);
         out.csc = std::move(r.csc);
         out.run = std::move(r);
-    } else if (bc.kernel == "spmv") {
+        break;
+      }
+      case core::Kernel::Spmv: {
         const std::vector<Value> x(bc.a.cols, 1.0f);
         core::SpmvResult r = sys.spmv(bc.a, x);
         out.y = std::move(r.y);
         out.run = std::move(r);
-    } else {
+        break;
+      }
+      case core::Kernel::Spgemm: {
         core::SpgemmResult r = sys.spgemm(bc.a, bc.a);
         out.c = std::move(r.c);
         out.run = std::move(r);
+        break;
+      }
     }
     out.wallSeconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
@@ -78,9 +85,10 @@ void
 checkIdentical(const BenchCase &bc, const ModeRun &detailed,
                const ModeRun &fast, const char *mode)
 {
-    const bool same = bc.kernel == "transpose" ? detailed.csc == fast.csc
-                      : bc.kernel == "spmv"    ? detailed.y == fast.y
-                                               : detailed.c == fast.c;
+    const bool same =
+        bc.kernel == core::Kernel::Transpose ? detailed.csc == fast.csc
+        : bc.kernel == core::Kernel::Spmv    ? detailed.y == fast.y
+                                             : detailed.c == fast.c;
     if (!same)
         menda_fatal(bc.name, ": ", mode,
                     " outputs differ from detailed");
@@ -108,17 +116,17 @@ main(int argc, char **argv)
     const Index gdim = static_cast<Index>(8192 / scale);
 
     std::vector<BenchCase> cases;
-    cases.push_back({"transpose_uniform", "transpose",
+    cases.push_back({"transpose_uniform", core::Kernel::Transpose,
                      sparse::generateUniform(dim, dim, tnnz, 1)});
-    cases.push_back({"transpose_rmat", "transpose",
+    cases.push_back({"transpose_rmat", core::Kernel::Transpose,
                      sparse::generateRmat(dim, tnnz, 0.1, 0.2, 0.3, 7)});
-    cases.push_back({"spmv_uniform", "spmv",
+    cases.push_back({"spmv_uniform", core::Kernel::Spmv,
                      sparse::generateUniform(dim, dim, vnnz, 2)});
-    cases.push_back({"spmv_rmat", "spmv",
+    cases.push_back({"spmv_rmat", core::Kernel::Spmv,
                      sparse::generateRmat(dim, vnnz, 0.1, 0.2, 0.3, 8)});
-    cases.push_back({"spgemm_uniform", "spgemm",
+    cases.push_back({"spgemm_uniform", core::Kernel::Spgemm,
                      sparse::generateUniform(gdim, gdim, 16 * gdim, 3)});
-    cases.push_back({"spgemm_rmat", "spgemm",
+    cases.push_back({"spgemm_rmat", core::Kernel::Spgemm,
                      sparse::generateRmat(gdim, 16 * gdim, 0.1, 0.2, 0.3,
                                           9)});
 
@@ -164,7 +172,8 @@ main(int argc, char **argv)
         const double fun_x = speedup(fun), smp_x = speedup(smp);
         fun_speedup_log += std::log(fun_x);
         smp_speedup_log += std::log(smp_x);
-        max_err[bc.kernel] = std::max(max_err[bc.kernel], smp_err);
+        const std::string kernel = core::kernelName(bc.kernel);
+        max_err[kernel] = std::max(max_err[kernel], smp_err);
 
         std::printf("%-20s %12.0f %9.2f %9.1f %9.2f %9.1f %8u\n",
                     bc.name.c_str(), det_cycles, fun_err, fun_x,

@@ -55,7 +55,7 @@ percentile(std::vector<double> samples, double pct)
 struct Tenant
 {
     std::string name;
-    std::string kernel; ///< transpose | spmv | spgemm
+    core::Kernel kernel = core::Kernel::Transpose;
     std::vector<std::uint64_t> seeds;
     unsigned ranks = 1;
     unsigned window = 2;   ///< closed-loop jobs kept in flight
@@ -67,9 +67,9 @@ struct Tenant
 sparse::CsrMatrix
 tenantMatrix(const Tenant &t, std::uint64_t seed)
 {
-    if (t.kernel == "spgemm")
+    if (t.kernel == core::Kernel::Spgemm)
         return sparse::generateUniform(128, 128, 8192, seed);
-    if (t.kernel == "transpose")
+    if (t.kernel == core::Kernel::Transpose)
         return sparse::generateUniform(48, 40, 640, seed);
     return sparse::generateUniform(32, 32, 256, seed);
 }
@@ -81,17 +81,17 @@ buildSubmit(const Tenant &t, std::uint64_t seed)
     o["schema"] = json::Value(serve::kSchema);
     o["type"] = json::Value("submit");
     o["tenant"] = json::Value(t.name);
-    o["kernel"] = json::Value(t.kernel);
+    o["kernel"] = json::Value(core::kernelName(t.kernel));
     o["pus"] = json::Value(std::uint64_t(t.ranks));
     const sparse::CsrMatrix a = tenantMatrix(t, seed);
     o["a"] = serve::csrToJson(a);
-    if (t.kernel == "spmv") {
+    if (t.kernel == core::Kernel::Spmv) {
         std::vector<Value> x(a.cols);
         for (std::size_t i = 0; i < x.size(); ++i)
             x[i] = static_cast<Value>((i * 7 + seed) % 64) / 16.0f;
         o["x"] = serve::valueVectorToJson(x);
     }
-    if (t.kernel == "spgemm")
+    if (t.kernel == core::Kernel::Spgemm)
         o["b"] = serve::csrToJson(
             sparse::generateUniform(128, 128, 8192, seed ^ 0xb0b));
     return json::Value(std::move(o));
@@ -99,11 +99,11 @@ buildSubmit(const Tenant &t, std::uint64_t seed)
 
 /** The job's output payload, serialized (bitwise-identity checks). */
 std::string
-outputKeyAndPayload(const std::string &kernel, const json::Value &r)
+outputKeyAndPayload(core::Kernel kernel, const json::Value &r)
 {
-    if (kernel == "transpose")
+    if (kernel == core::Kernel::Transpose)
         return r.at("csc").serialize();
-    if (kernel == "spmv")
+    if (kernel == core::Kernel::Spmv)
         return r.at("y").serialize();
     return r.at("c").serialize() + "/" +
            r.at("partialProducts").serialize();
@@ -153,16 +153,16 @@ runPolicy(serve::SchedPolicy policy,
     serve::ServeCore core(config);
 
     std::vector<Tenant> tenants;
-    tenants.push_back({"bully", "spgemm", {9001}, 8, 1, 5});
+    tenants.push_back({"bully", core::Kernel::Spgemm, {9001}, 8, 1, 5});
     for (unsigned i = 0; i < 6; ++i)
-        tenants.push_back({"svc" + std::to_string(i), "spmv",
+        tenants.push_back({"svc" + std::to_string(i), core::Kernel::Spmv,
                            {100, 101, 102, 103}, 1, 2, 14});
-    tenants.push_back({"etl", "transpose", {200}, 1, 2, 14});
+    tenants.push_back({"etl", core::Kernel::Transpose, {200}, 1, 2, 14});
 
     struct Pending
     {
         Tenant *tenant = nullptr;
-        std::string kernel;
+        core::Kernel kernel = core::Kernel::Transpose;
         std::uint64_t seed = 0;
     };
     std::map<std::uint64_t, Pending> pending;
@@ -199,17 +199,17 @@ runPolicy(serve::SchedPolicy policy,
             if (r.at("state").asString() != "done")
                 menda_fatal("bench_serve: job ", id, " ended ",
                             r.at("state").asString());
-            const std::string key =
-                p.kernel + ":" + std::to_string(p.seed);
+            const std::string kernel = core::kernelName(p.kernel);
+            const std::string key = kernel + ":" + std::to_string(p.seed);
             const std::string payload =
                 outputKeyAndPayload(p.kernel, r);
             const auto [it, inserted] = golden.emplace(key, payload);
             if (!inserted && it->second != payload)
                 menda_fatal("bench_serve: repeated job ", key,
                             " produced different output bytes");
-            stats.totals[p.kernel].push_back(
+            stats.totals[kernel].push_back(
                 r.at("totalCycles").asNumber());
-            stats.waits[p.kernel].push_back(
+            stats.waits[kernel].push_back(
                 r.at("queueWaitCycles").asNumber());
             ++stats.completed;
             --p.tenant->inflight;

@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@
 
 #include "baselines/spgemm_cpu.hh"
 #include "common/config.hh"
+#include "menda/kernel.hh"
 #include "obs/metrics.hh"
 #include "serve/socket_server.hh"
 #include "sparse/format.hh"
@@ -85,7 +87,7 @@ makeX(Index cols, std::uint64_t seed)
 
 struct JobSpec
 {
-    std::string kernel;
+    core::Kernel kernel = core::Kernel::Transpose;
     Index rows = 0, cols = 0, bcols = 0;
     std::uint64_t nnz = 0;
     std::uint64_t seed = 0;
@@ -108,7 +110,7 @@ buildSubmit(const JobSpec &spec, const std::string &tenant,
     json::Object o;
     o["schema"] = json::Value(serve::kSchema);
     o["type"] = json::Value("submit");
-    o["kernel"] = json::Value(spec.kernel);
+    o["kernel"] = json::Value(core::kernelName(spec.kernel));
     o["tenant"] = json::Value(tenant);
     o["wait"] = json::Value(wait);
     if (pus > 0)
@@ -116,9 +118,9 @@ buildSubmit(const JobSpec &spec, const std::string &tenant,
     if (!sim_mode.empty())
         o["simMode"] = json::Value(sim_mode);
     o["a"] = serve::csrToJson(spec.a());
-    if (spec.kernel == "spmv")
+    if (spec.kernel == core::Kernel::Spmv)
         o["x"] = serve::valueVectorToJson(spec.x());
-    else if (spec.kernel == "spgemm")
+    else if (spec.kernel == core::Kernel::Spgemm)
         o["b"] = serve::csrToJson(spec.b());
     return json::Value(std::move(o));
 }
@@ -128,7 +130,7 @@ buildSubmit(const JobSpec &spec, const std::string &tenant,
 bool
 verifyResponse(const JobSpec &spec, const json::Value &response)
 {
-    if (spec.kernel == "transpose") {
+    if (spec.kernel == core::Kernel::Transpose) {
         const sparse::CscMatrix got =
             serve::cscFromJson(response.at("csc"));
         if (got == sparse::transposeReference(spec.a()))
@@ -137,7 +139,7 @@ verifyResponse(const JobSpec &spec, const json::Value &response)
                      static_cast<unsigned long long>(spec.seed));
         return false;
     }
-    if (spec.kernel == "spmv") {
+    if (spec.kernel == core::Kernel::Spmv) {
         const std::vector<double> got =
             serve::doubleVectorFromJson(response.at("y"));
         const std::vector<double> want =
@@ -185,7 +187,7 @@ printJobLine(const json::Value &r)
 }
 
 JobSpec
-specFromOptions(const Options &opts, const std::string &kernel,
+specFromOptions(const Options &opts, core::Kernel kernel,
                 std::uint64_t seed)
 {
     JobSpec spec;
@@ -210,7 +212,6 @@ runSmoke(serve::Client &client, const Options &opts)
     const bool verify = !opts.has("no-verify");
     const std::uint64_t base_seed =
         static_cast<std::uint64_t>(opts.getInt("seed", 1000));
-    const char *kernels[] = {"transpose", "spmv", "spgemm"};
 
     std::map<std::uint64_t, JobSpec> inflight;
     unsigned rejections = 0, submitted = 0;
@@ -267,7 +268,7 @@ runSmoke(serve::Client &client, const Options &opts)
     // a small pool so most submissions after warm-up are cache hits.
     for (unsigned j = 0; j < jobs; ++j) {
         const JobSpec spec =
-            specFromOptions(opts, kernels[j % 3],
+            specFromOptions(opts, core::kKernels[j % 3],
                             base_seed + (j % unique_matrices));
         submit(spec, "tenant" + std::to_string(j % tenants));
     }
@@ -284,7 +285,8 @@ runSmoke(serve::Client &client, const Options &opts)
     std::string burst_frames;
     for (unsigned j = 0; j < 8; ++j) {
         burst.push_back(
-            specFromOptions(opts, "transpose", base_seed + j));
+            specFromOptions(opts, core::Kernel::Transpose,
+                            base_seed + j));
         burst_frames += serve::encodeFrame(
             buildSubmit(burst.back(), "burst", 0, "", false)
                 .serialize());
@@ -307,7 +309,7 @@ runSmoke(serve::Client &client, const Options &opts)
     // Cold sweep: fresh, much larger matrices force residency-cache
     // misses (and, under the small CI budget, at least one eviction).
     for (unsigned j = 0; j < 4; ++j) {
-        JobSpec big = specFromOptions(opts, "transpose",
+        JobSpec big = specFromOptions(opts, core::Kernel::Transpose,
                                       base_seed + 7000 + j);
         big.rows *= 4;
         big.cols *= 4;
@@ -368,8 +370,18 @@ main(int argc, char **argv)
         serve::Client client = connectTo(opts.get("connect"));
 
         if (command == "submit") {
+            const std::string name = opts.get("kernel", "transpose");
+            const std::optional<core::Kernel> kernel =
+                core::parseKernel(name);
+            if (!kernel) {
+                std::fprintf(stderr,
+                             "unknown --kernel '%s' "
+                             "(transpose|spmv|spgemm)\n",
+                             name.c_str());
+                return 2;
+            }
             const JobSpec spec = specFromOptions(
-                opts, opts.get("kernel", "transpose"),
+                opts, *kernel,
                 static_cast<std::uint64_t>(opts.getInt("seed", 1)));
             const bool wait = !opts.has("async");
             const json::Value r = client.call(buildSubmit(

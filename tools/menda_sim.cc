@@ -44,7 +44,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -53,6 +52,7 @@
 #include "baselines/spgemm_cpu.hh"
 #include "common/config.hh"
 #include "common/log.hh"
+#include "menda/kernel.hh"
 #include "menda/run_report.hh"
 #include "menda/system.hh"
 #include "obs/trace.hh"
@@ -131,7 +131,7 @@ class ObservedRun
     }
 
     void
-    finish(const char *kernel, const core::RunResult &result,
+    finish(core::Kernel kernel, const core::RunResult &result,
            const sparse::CsrMatrix &a, const core::SystemConfig &config)
     {
         const double wall =
@@ -152,9 +152,10 @@ class ObservedRun
                          path.c_str());
         }
         if (opts_.has("report")) {
+            const char *name = core::kernelName(kernel);
             obs::RunReport report = core::makeRunReport(
-                std::string("menda_sim.") + kernel, kernel, config,
-                result, a.nnz(), wall);
+                std::string("menda_sim.") + name, name, config, result,
+                a.nnz(), wall);
             report.write(opts_.get("report", ""));
         }
     }
@@ -166,14 +167,15 @@ class ObservedRun
 };
 
 void
-printRunResult(const char *kernel, const core::RunResult &result,
+printRunResult(core::Kernel kernel, const core::RunResult &result,
                const sparse::CsrMatrix &a,
                const core::SystemConfig &config, bool json)
 {
     power::PuPowerModel power;
     const double watts =
-        power.puWatts(config.pu, std::strcmp(kernel, "spmv") == 0) *
+        power.puWatts(config.pu, kernel == core::Kernel::Spmv) *
         config.totalPus();
+    const char *name = core::kernelName(kernel);
     if (json) {
         std::printf("{\"kernel\":\"%s\",\"rows\":%u,\"cols\":%u,"
                     "\"nnz\":%lu,\"pus\":%u,\"leaves\":%u,"
@@ -181,7 +183,7 @@ printRunResult(const char *kernel, const core::RunResult &result,
                     "\"readBlocks\":%lu,\"writeBlocks\":%lu,"
                     "\"coalesced\":%lu,\"busUtilization\":%.4f,"
                     "\"puWatts\":%.4f}\n",
-                    kernel, a.rows, a.cols, (unsigned long)a.nnz(),
+                    name, a.rows, a.cols, (unsigned long)a.nnz(),
                     config.totalPus(), config.pu.leaves, result.seconds,
                     result.iterations, (unsigned long)result.readBlocks,
                     (unsigned long)result.writeBlocks,
@@ -189,7 +191,7 @@ printRunResult(const char *kernel, const core::RunResult &result,
                     result.busUtilization, watts);
         return;
     }
-    std::printf("%s on %u PUs (%u leaves, %lu MHz):\n", kernel,
+    std::printf("%s on %u PUs (%u leaves, %lu MHz):\n", name,
                 config.totalPus(), config.pu.leaves,
                 (unsigned long)config.pu.freqMhz);
     std::printf("  simulated time     %.3f ms (%u merge iterations)\n",
@@ -253,13 +255,14 @@ cmdTranspose(const Options &opts)
     core::MendaSystem sys(config);
     ObservedRun observed(sys, opts);
     core::TransposeResult result = sys.transpose(a);
-    observed.finish("transpose", result, a, config);
+    observed.finish(core::Kernel::Transpose, result, a, config);
     if (opts.has("verify")) {
         if (!(result.csc == sparse::transposeReference(a)))
             menda_fatal("verification FAILED");
         std::printf("verified against the golden reference\n");
     }
-    printRunResult("transpose", result, a, config, opts.has("json"));
+    printRunResult(core::Kernel::Transpose, result, a, config,
+                   opts.has("json"));
     return 0;
 }
 
@@ -272,8 +275,9 @@ cmdSpmv(const Options &opts)
     core::MendaSystem sys(config);
     ObservedRun observed(sys, opts);
     core::SpmvResult result = sys.spmv(a, x);
-    observed.finish("spmv", result, a, config);
-    printRunResult("spmv", result, a, config, opts.has("json"));
+    observed.finish(core::Kernel::Spmv, result, a, config);
+    printRunResult(core::Kernel::Spmv, result, a, config,
+                   opts.has("json"));
     return 0;
 }
 
@@ -308,7 +312,7 @@ cmdSpgemm(const Options &opts)
     core::MendaSystem sys(config);
     ObservedRun observed(sys, opts);
     core::SpgemmResult result = sys.spgemm(a, a);
-    observed.finish("spgemm", result, a, config);
+    observed.finish(core::Kernel::Spgemm, result, a, config);
     if (opts.has("verify")) {
         if (!(result.c == baselines::spgemmHeapMerge(a, a)))
             menda_fatal("verification FAILED");
@@ -319,7 +323,8 @@ cmdSpgemm(const Options &opts)
                     "non-zeros\n",
                     (unsigned long)result.partialProducts,
                     (unsigned long)result.c.nnz());
-    printRunResult("spgemm", result, a, config, opts.has("json"));
+    printRunResult(core::Kernel::Spgemm, result, a, config,
+                   opts.has("json"));
     return 0;
 }
 
