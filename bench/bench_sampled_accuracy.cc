@@ -53,26 +53,19 @@ runMode(const BenchCase &bc, core::SystemConfig config,
     core::MendaSystem sys(config);
     ModeRun out;
     const auto start = std::chrono::steady_clock::now();
-    switch (bc.kernel) {
-      case core::Kernel::Transpose: {
+    if (bc.kernel == core::Kernel::Transpose) {
         core::TransposeResult r = sys.transpose(bc.a);
         out.csc = std::move(r.csc);
         out.run = std::move(r);
-        break;
-      }
-      case core::Kernel::Spmv: {
+    } else if (bc.kernel == core::Kernel::Spmv) {
         const std::vector<Value> x(bc.a.cols, 1.0f);
         core::SpmvResult r = sys.spmv(bc.a, x);
         out.y = std::move(r.y);
         out.run = std::move(r);
-        break;
-      }
-      case core::Kernel::Spgemm: {
+    } else {
         core::SpgemmResult r = sys.spgemm(bc.a, bc.a);
         out.c = std::move(r.c);
         out.run = std::move(r);
-        break;
-      }
     }
     out.wallSeconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
